@@ -43,6 +43,18 @@ VERIFY_SELECTORS = (
 
 _DEFAULT_TAIL_TOLERANCE = Fraction(1, 10**9)
 
+# Smallest accepted value of every integer option, by argparse dest.
+_MINIMUM = {
+    "m_max": 1,
+    "order": 0,
+    "k_max": 0,
+    "tuples_per_n": 1,
+    "qseries_n_max": 0,
+    "n": 0,
+    "max_size": 0,
+    "count": 0,
+}
+
 
 def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
@@ -65,10 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_m_max = int(os.environ.get("QIDENT_M_MAX", "10"))
     verify = sub.add_parser("verify", help="run identity checks")
     verify.add_argument("selector", choices=VERIFY_SELECTORS)
-    verify.add_argument("--m-max", type=int, default=default_m_max)
+    verify.add_argument("--m-max", type=int, help="default: $QIDENT_M_MAX or 10")
     verify.add_argument("--order", type=int, default=12, help="series order D")
     verify.add_argument("--k-max", type=int, default=3, help="marginal column half-range")
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -110,8 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _verify_reports(args) -> list[VerificationReport]:
     m_max = args.m_max
-    if m_max < 1:
-        raise _Usage("--m-max must be at least 1")
     selector = args.selector
     reports: list[VerificationReport] = []
     if selector == "anz1":
@@ -176,8 +185,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_partitions(args) -> int:
-    if args.n < 0:
-        raise _Usage("--n must be nonnegative")
     constraint = _CONSTRAINTS[args.constraint]
     sign = {"sp": +1, "o": -1}.get(args.weights)
     for p in enumerate_partitions(args.n, constraint):
@@ -205,8 +212,6 @@ def _measure_params(args) -> MeasureParams:
 def cmd_dist_eval(args) -> int:
     family = Family(args.family)
     params = _measure_params(args)
-    if args.max_size < 0:
-        raise _Usage("--max-size must be nonnegative")
     total = Fraction(0)
     for n in range(args.max_size + 1):
         for p in enumerate_partitions(n, family.constraint):
@@ -239,10 +244,6 @@ def cmd_dist_eval(args) -> int:
 def cmd_dist_sample(args) -> int:
     family = Family(args.family)
     params = _measure_params(args)
-    if args.count < 0:
-        raise _Usage("--count must be nonnegative")
-    if args.max_size < 0:
-        raise _Usage("--max-size must be nonnegative")
     result = distributions.sample(family, params, args.max_size, args.count, args.seed)
     if args.format == "json":
         _emit(result.to_json_dict())
@@ -260,10 +261,26 @@ class _Usage(Exception):
     """Semantic argument error, reported like a parse error (exit 2)."""
 
 
+def _check_numbers(args) -> None:
+    """Fill in the QIDENT_M_MAX default and range-check every integer option."""
+    if args.command == "verify" and args.m_max is None:
+        text = os.environ.get("QIDENT_M_MAX", "10")
+        try:
+            args.m_max = int(text)
+        except ValueError:
+            raise _Usage(f"QIDENT_M_MAX must be an integer, got {text!r}") from None
+    for dest, low in _MINIMUM.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < low:
+            flag = "--" + dest.replace("_", "-")
+            raise _Usage(f"{flag} must be at least {low}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
     except _Usage as exc:
         parser.error(str(exc))  # exits with status 2

@@ -1,7 +1,10 @@
 """Exact arithmetic in the rational-function field Q(q).
 
-A Polynomial is a dense tuple of Fraction coefficients indexed by degree
-(ascending, no trailing zeros; the zero polynomial is the empty tuple).
+A Polynomial is a dense tuple of coefficients indexed by degree (ascending,
+no trailing zeros; the zero polynomial is the empty tuple).  A coefficient
+is stored as an ``int`` when it is integral and as a ``Fraction`` otherwise,
+never as a float; the identity chain's coefficients are small integers, so
+most arithmetic stays in ``int``.
 A RationalFunction is a coprime numerator/denominator pair with monic
 denominator.  Both representations are canonical, so mathematical equality
 is structural equality -- which is what makes ``==`` a sound identity check.
@@ -29,22 +32,28 @@ class PoleError(ZeroDivisionError):
 
 
 def _strip(coeffs: list) -> tuple:
+    """Drop trailing zeros and store each integral coefficient as an int."""
     while coeffs and not coeffs[-1]:
         coeffs.pop()
-    return tuple(coeffs)
+    # tuple() of a list allocates once at the exact size; of a generator it
+    # guesses and resizes, which raised peak memory on the identity chain
+    return tuple(
+        [c if type(c) is int or c.denominator != 1 else c.numerator for c in coeffs]
+    )
 
 
 class Polynomial:
     """Dense univariate polynomial over the rationals.
 
-    ``coeffs[d]`` is the coefficient of q^d; the top coefficient is nonzero
-    unless the polynomial is zero (empty tuple).
+    ``coeffs[d]`` is the coefficient of q^d: an ``int`` when integral, else a
+    ``Fraction`` with denominator > 1.  The top coefficient is nonzero unless
+    the polynomial is zero (empty tuple).
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        self.coeffs = _strip([Fraction(c) for c in coeffs])
+        self.coeffs = _strip([c if type(c) is int else Fraction(c) for c in coeffs])
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -74,23 +83,24 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self) -> Scalar:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def scale(self, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
+        if type(c) is not int:
+            c = Fraction(c)
         if not c:
             return _P_ZERO
         out = Polynomial.__new__(Polynomial)
-        out.coeffs = tuple(v * c for v in self.coeffs)
+        out.coeffs = _strip([v * c for v in self.coeffs])
         return out
 
     def monic(self) -> "Polynomial":
         if self.is_zero or self.leading == 1:
             return self
-        return self.scale(1 / self.leading)
+        return self.scale(Fraction(1, self.leading))
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
@@ -121,7 +131,7 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _P_ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if not ai:
                 continue
@@ -150,12 +160,14 @@ class Polynomial:
         rem = list(self.coeffs)
         dv = other.degree
         lead = other.leading
-        quot = [Fraction(0)] * max(len(rem) - dv, 0)
+        # 1/lead is lead itself for a unit, which keeps integer division in int
+        inv = lead if lead == 1 or lead == -1 else Fraction(1, lead)
+        quot = [0] * max(len(rem) - dv, 0)
         for k in range(len(rem) - 1, dv - 1, -1):
             c = rem[k]
             if not c:
                 continue
-            f = c / lead
+            f = c * inv
             quot[k - dv] = f
             for i, v in enumerate(other.coeffs):
                 rem[k - dv + i] -= f * v
@@ -247,18 +259,39 @@ def _int_prem(u: list[int], v: list[int]) -> list[int]:
     return r
 
 
+def _low_degree(p: Polynomial) -> int:
+    """Lowest degree with a nonzero coefficient (p nonzero)."""
+    for d, c in enumerate(p.coeffs):
+        if c:
+            return d
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor in Q[q].
 
-    Computed as a primitive Euclidean remainder sequence over the integers
-    (denominators cleared, integer content stripped each step), which gives
-    the same remainder sequence as rational-coefficient Euclid up to units
-    while keeping coefficient growth in check.
+    When one argument is a monomial c*q^d (a nonzero constant is d = 0),
+    the gcd is q^min(d, v) with v the lowest degree present in the other
+    argument; all other inputs go through ``_prs_gcd``.
     """
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
+    va, vb = _low_degree(a), _low_degree(b)
+    if va == a.degree or vb == b.degree:
+        e = min(va, vb)
+        return _P_ONE if e == 0 else Polynomial.monomial(e)
+    return _prs_gcd(a, b)
+
+
+def _prs_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd of nonzero a and b by a primitive remainder sequence.
+
+    The sequence runs over the integers (denominators cleared, integer
+    content stripped each step), which gives the same remainder sequence as
+    rational-coefficient Euclid up to units while keeping coefficient growth
+    in check.
+    """
     u = _primitive_ints(a)
     v = _primitive_ints(b)
     if len(u) < len(v):
@@ -302,8 +335,9 @@ class RationalFunction:
             den = _exact_div(den, g)
         lead = den.leading
         if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
+            inv = Fraction(1, lead)
+            num = num.scale(inv)
+            den = den.scale(inv)
         self.num, self.den = num, den
 
     @classmethod
@@ -317,8 +351,9 @@ class RationalFunction:
             return self
         lead = den.leading
         if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
+            inv = Fraction(1, lead)
+            num = num.scale(inv)
+            den = den.scale(inv)
         self.num, self.den = num, den
         return self
 
@@ -445,10 +480,7 @@ class RationalFunction:
 
 
 def _coeff_list(p: Polynomial) -> list:
-    return [
-        c.numerator if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        for c in p.coeffs
-    ]
+    return [c if type(c) is int else f"{c.numerator}/{c.denominator}" for c in p.coeffs]
 
 
 def _as_poly(value) -> Polynomial:

@@ -148,3 +148,42 @@ def test_dist_rejects_malformed_fraction():
     with pytest.raises(SystemExit) as exc:
         cli.main(["dist", "eval", "--family", "o", "--q", "two", "--u", "1/2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "marginals", "--k-max", "-2"],
+        ["verify", "qseries", "--tuples-per-n", "0"],
+        ["verify", "qseries", "--qseries-n-max", "-1"],
+        ["verify", "normalization", "--order", "-1"],
+        ["partitions", "--n", "-1"],
+        ["dist", "eval", "--family", "sp", "--q", "2", "--u", "1/2", "--max-size", "-1"],
+        ["dist", "sample", "--family", "sp", "--q", "2", "--u", "1/2", "--count", "-1"],
+    ],
+)
+def test_rejects_out_of_range_numbers(capsys, argv):
+    # each of these once printed a vacuous PASS or raised a raw ValueError
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[-2]} must be at least" in captured.err
+
+
+def test_verify_rejects_malformed_m_max_env(capsys, monkeypatch):
+    monkeypatch.setenv("QIDENT_M_MAX", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "anz1"])
+    assert exc.value.code == 2
+    assert "QIDENT_M_MAX" in capsys.readouterr().err
+
+
+def test_verify_m_max_env_default(capsys, monkeypatch):
+    monkeypatch.setenv("QIDENT_M_MAX", "2")
+    code, out = run_cli(capsys, "verify", "anz1")
+    assert code == 0
+    assert json.loads(out)["params"] == {"m_max": 2}
+    code, out = run_cli(capsys, "verify", "anz1", "--m-max", "1")
+    assert json.loads(out)["params"] == {"m_max": 1}

@@ -9,6 +9,7 @@ from qident.rational import (
     PoleError,
     Polynomial,
     RationalFunction,
+    _prs_gcd,
     poly_gcd,
     q,
     q_power,
@@ -153,3 +154,150 @@ def test_evaluation_is_a_homomorphism(a, b, point):
 def test_hash_consistent_with_equality(a):
     b = RationalFunction(a.num, a.den)
     assert a == b and hash(a) == hash(b)
+
+
+# --- reference: the same operations on plain Fraction coefficient lists -----
+
+
+def _ref_strip(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * Fraction(y)
+    return _ref_strip(out)
+
+
+def ref_divmod(a, b):
+    rem = [Fraction(c) for c in a]
+    dv = len(b) - 1
+    quot = [Fraction(0)] * max(len(rem) - dv, 0)
+    for k in range(len(rem) - 1, dv - 1, -1):
+        f = rem[k] / Fraction(b[-1])
+        quot[k - dv] = f
+        for i, v in enumerate(b):
+            rem[k - dv + i] -= f * Fraction(v)
+    return _ref_strip(quot), _ref_strip(rem)
+
+
+def ref_gcd(a, b):
+    """Monic gcd by Euclid over Q, no content tricks and no shortcuts."""
+    a = _ref_strip([Fraction(c) for c in a])
+    b = _ref_strip([Fraction(c) for c in b])
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def assert_canonical(p):
+    for c in p.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+    assert not p.coeffs or p.coeffs[-1] != 0
+
+
+mixed_coeffs = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+coeff_lists = st.lists(mixed_coeffs, max_size=6)
+divisors = st.builds(
+    lambda low, lead: low + [lead],
+    st.lists(mixed_coeffs, max_size=4),
+    st.sampled_from([1, -1, 2, -2, Fraction(1, 3)]),
+)
+
+
+@given(coeff_lists, coeff_lists)
+def test_mul_matches_fraction_reference(a, b):
+    prod = Polynomial(a) * Polynomial(b)
+    assert list(prod.coeffs) == ref_mul(_ref_strip(list(a)), _ref_strip(list(b)))
+    assert_canonical(prod)
+
+
+@given(coeff_lists, divisors)
+def test_divmod_matches_fraction_reference(a, b):
+    quot, rem = divmod(Polynomial(a), Polynomial(b))
+    ref_quot, ref_rem = ref_divmod(a, b)
+    assert list(quot.coeffs) == ref_quot
+    assert list(rem.coeffs) == ref_rem
+    assert_canonical(quot)
+    assert_canonical(rem)
+
+
+@given(coeff_lists, coeff_lists)
+def test_gcd_matches_fraction_reference(a, b):
+    g = poly_gcd(Polynomial(a), Polynomial(b))
+    assert list(g.coeffs) == ref_gcd(a, b)
+    assert_canonical(g)
+
+
+@given(coeff_lists, st.lists(mixed_coeffs, min_size=1, max_size=6))
+def test_scale_and_sum_stay_canonical(a, b):
+    p, r = Polynomial(a), Polynomial(b)
+    assert_canonical(p)
+    assert_canonical(p + r)
+    assert_canonical(p.monic())
+    if not r.is_zero:
+        f = RationalFunction(p, r)
+        assert_canonical(f.num)
+        assert_canonical(f.den)
+
+
+def test_integral_values_are_stored_as_int():
+    p = Polynomial([Fraction(4, 2), Fraction(1, 3), 0.5, True])
+    assert p.coeffs == (2, Fraction(1, 3), Fraction(1, 2), 1)
+    assert [type(c) for c in p.coeffs] == [int, Fraction, Fraction, int]
+    assert Polynomial([3, 0, 6]).scale(Fraction(1, 3)).coeffs == (1, 0, 2)
+    assert type(Polynomial([Fraction(1, 2)]).scale(2).coeffs[0]) is int
+
+
+# --- closed-form gcd shortcuts against the remainder sequence ---------------
+
+_GENERAL = [
+    Polynomial([1, 2, 1]),  # nonzero constant term
+    Polynomial([0, 0, 3, -1]),  # valuation 2
+    Polynomial([0, Fraction(1, 2), 0, 0, 5]),  # valuation 1
+]
+_MONOMIALS = [
+    Polynomial([7]),
+    Polynomial([Fraction(-2, 3)]),
+    Polynomial.monomial(1, 4),
+    Polynomial.monomial(3, Fraction(1, 5)),
+    Polynomial.monomial(5, -1),
+]
+
+
+@pytest.mark.parametrize("mono", _MONOMIALS, ids=str)
+@pytest.mark.parametrize("other", _GENERAL + _MONOMIALS, ids=str)
+def test_gcd_shortcut_matches_prs(mono, other):
+    expected = _prs_gcd(mono, other)
+    assert poly_gcd(mono, other) == expected
+    assert poly_gcd(other, mono) == expected
+    assert list(expected.coeffs) == ref_gcd(mono.coeffs, other.coeffs)
+    low = next(d for d, c in enumerate(other.coeffs) if c)
+    assert expected == Polynomial.monomial(min(mono.degree, low))
+
+
+@pytest.mark.parametrize("p", _GENERAL + _MONOMIALS + [Polynomial.zero()], ids=str)
+def test_gcd_with_zero_is_monic_other(p):
+    assert poly_gcd(Polynomial.zero(), p) == p.monic()
+    assert poly_gcd(p, Polynomial.zero()) == p.monic()
+    assert list(poly_gcd(p, Polynomial.zero()).coeffs) == ref_gcd(p.coeffs, [])
+
+
+@given(
+    st.integers(min_value=0, max_value=5),
+    mixed_coeffs.filter(bool),
+    st.lists(mixed_coeffs, min_size=1, max_size=6).filter(any),
+)
+def test_monomial_gcd_matches_prs(d, c, other):
+    mono, other = Polynomial.monomial(d, c), Polynomial(other)
+    assert poly_gcd(mono, other) == _prs_gcd(mono, other)
+    assert poly_gcd(other, mono) == _prs_gcd(other, mono)
