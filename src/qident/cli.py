@@ -29,16 +29,7 @@ _CONSTRAINTS = {
 }
 
 VERIFY_SELECTORS = (
-    "anz1",
-    "anz2",
-    "anz3",
-    "eq4",
-    "eq5",
-    "splits",
-    "qseries",
-    "marginals",
-    "normalization",
-    "all",
+    *identities.SELECTORS, "qseries", "marginals", "normalization", "all"
 )
 
 _DEFAULT_TAIL_TOLERANCE = Fraction(1, 10**9)
@@ -119,58 +110,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The per-family series checks by selector; ``all`` runs both, family by family.
+_FAMILY_CHECKS = {
+    "marginals": lambda family, args: distributions.marginal_vs_bruteforce(
+        family, args.k_max, args.order
+    ),
+    "normalization": lambda family, args: distributions.normalization_check(
+        family, args.order
+    ),
+}
+
+
 def _verify_reports(args) -> list[VerificationReport]:
-    m_max = args.m_max
     selector = args.selector
-    reports: list[VerificationReport] = []
-    if selector == "anz1":
-        reports.append(identities.check_anz1(m_max))
-    elif selector == "anz2":
-        reports.append(identities.check_anz2(m_max))
-    elif selector == "anz3":
-        reports.append(identities.check_anz3(m_max))
-    elif selector == "eq4":
-        reports.append(identities.check_eq4(m_max))
-        reports.append(identities.check_a2_sum(m_max))
-        reports.append(identities.check_b2_sum(m_max))
-        reports.append(identities.check_final_combine(m_max))
-    elif selector == "eq5":
-        reports.append(identities.check_eq5(m_max))
-        reports.append(identities.check_c1_sum(m_max))
-        reports.append(identities.check_c2_sum(m_max))
-    elif selector == "splits":
-        reports.append(identities.check_splits(m_max))
-        reports.append(identities.check_d(m_max))
-    elif selector == "qseries":
-        reports.extend(
-            random_hypergeometric_reports(
-                n_max=args.qseries_n_max,
-                tuples_per_n=args.tuples_per_n,
-                seed=args.seed,
-            )
+    everything = selector == "all"
+    if everything:
+        ids = identities.IDENTITY_IDS
+    else:
+        ids = identities.SELECTORS.get(selector, ())
+    reports = [identities.CHECKS[identity](args.m_max) for identity in ids]
+    if everything or selector == "qseries":
+        reports += random_hypergeometric_reports(
+            n_max=args.qseries_n_max, tuples_per_n=args.tuples_per_n, seed=args.seed
         )
-    elif selector == "marginals":
-        for family in Family:
-            reports.append(
-                distributions.marginal_vs_bruteforce(family, args.k_max, args.order)
-            )
-    elif selector == "normalization":
-        for family in Family:
-            reports.append(distributions.normalization_check(family, args.order))
-    else:  # all
-        reports.extend(
-            identities.verify_all(
-                m_max,
-                seed=args.seed,
-                qseries_n_max=args.qseries_n_max,
-                tuples_per_n=args.tuples_per_n,
-            )
-        )
-        for family in Family:
-            reports.append(
-                distributions.marginal_vs_bruteforce(family, args.k_max, args.order)
-            )
-            reports.append(distributions.normalization_check(family, args.order))
+    kinds = [c for name, c in _FAMILY_CHECKS.items() if everything or name == selector]
+    reports += [check(family, args) for family in Family for check in kinds]
     return reports
 
 
@@ -227,9 +191,7 @@ def cmd_dist_eval(args) -> int:
                 )
             else:
                 print(f"{p.to_json()}  p={float(pv.value):.6g} ({pv.value})")
-    bound = 1 - (1 - params.tail_bound) * total
-    if bound < 0:
-        bound = Fraction(0)
+    bound = distributions.truncated_mass_bound(params, total)
     summary = {
         "support_probability": str(total),
         "truncated_mass_bound": str(bound),

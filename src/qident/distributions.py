@@ -321,6 +321,13 @@ class SampleResult:
         }
 
 
+def truncated_mass_bound(params: MeasureParams, support_mass: Fraction) -> Fraction:
+    """Upper bound on the true measure outside the support, given the
+    probability ``support_mass`` computed for the support with the truncated
+    prefactor: 1 - (1 - tail_bound) * support_mass, clamped at 0."""
+    return max(1 - (1 - params.tail_bound) * support_mass, Fraction(0))
+
+
 def sample(
     family: Family,
     params: MeasureParams,
@@ -341,9 +348,7 @@ def sample(
     if total <= 0:
         raise ValueError("truncated support has no mass")
     raw_mass = truncated_prefactor(family, params) * total
-    bound = 1 - (1 - params.tail_bound) * raw_mass
-    if bound < 0:
-        bound = Fraction(0)
+    bound = truncated_mass_bound(params, raw_mass)
 
     cdf: list[Fraction] = []
     acc = Fraction(0)

@@ -17,11 +17,18 @@ with odd parts of even multiplicity; odd and even size with even parts of
 even multiplicity).  EQ4/EQ5 are the reduced forms the term sums must
 satisfy, and the remaining ids cover the termwise splits, the closed-form
 sums, and the final recombination.
+
+Each check is written once, as a generator of (index, lhs, rhs) rows, and
+registered under its id in ``CHECKS``; one runner records the rows in a
+``VerificationReport``.  ``IDENTITY_IDS``, ``verify_all`` and the CLI
+selectors (``SELECTORS``: selector -> ids, in output order) all read from
+that registry.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections.abc import Callable
+from functools import lru_cache, wraps
 
 from .partitions import ParityConstraint, enumerate_partitions, summand_weight
 from .qseries import (
@@ -35,21 +42,6 @@ from .qseries import (
 )
 from .rational import RationalFunction, q, q_power, rf_sum
 from .report import VerificationReport
-
-IDENTITY_IDS = (
-    "ANZ1",
-    "ANZ2",
-    "ANZ3",
-    "EQ4",
-    "EQ5",
-    "A2_SUM",
-    "B2_SUM",
-    "C2_SUM",
-    "C1_SUM",
-    "AB_SPLIT",
-    "D_EQ_B2",
-    "FINAL_COMBINE",
-)
 
 
 def _alt_sign(i: int) -> int:
@@ -327,172 +319,164 @@ def phi_sum_c1(m: int) -> RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# Checks
+# Checks: one registry, one runner
 # ---------------------------------------------------------------------------
 
-def _report(identity: str, m_max: int) -> VerificationReport:
-    return VerificationReport(identity, params={"m_max": m_max})
+#: Identity id -> check (m_max -> VerificationReport), in report order.
+CHECKS: dict[str, Callable[[int], VerificationReport]] = {}
 
 
-def check_anz1(m_max: int) -> VerificationReport:
-    report = _report("ANZ1", m_max)
+def _check(identity: str):
+    """Register a generator of (index, lhs, rhs) rows as the check of
+    ``identity``.  The decorated name becomes the check: a function of m_max
+    that records every row, in order, in one VerificationReport."""
+
+    def register(rows):
+        @wraps(rows)
+        def check(m_max: int) -> VerificationReport:
+            report = VerificationReport(identity, params={"m_max": m_max})
+            for index, lhs, rhs in rows(m_max):
+                report.record(index, lhs, rhs)
+            return report
+
+        CHECKS[identity] = check
+        return check
+
+    return register
+
+
+@_check("ANZ1")
+def check_anz1(m_max: int):
     for m in range(m_max + 1):
-        report.record({"m": m}, lhs_anz1(m), rhs_anz1(m))
-    return report
+        yield {"m": m}, lhs_anz1(m), rhs_anz1(m)
 
 
-def check_anz2(m_max: int) -> VerificationReport:
-    report = _report("ANZ2", m_max)
+@_check("ANZ2")
+def check_anz2(m_max: int):
     for m in range(m_max + 1):
-        report.record({"m": m}, lhs_anz2(m), rhs_anz2(m))
-    return report
+        yield {"m": m}, lhs_anz2(m), rhs_anz2(m)
 
 
-def check_anz3(m_max: int) -> VerificationReport:
-    report = _report("ANZ3", m_max)
+@_check("ANZ3")
+def check_anz3(m_max: int):
     for m in range(m_max + 1):
-        report.record({"m": m}, lhs_anz3(m), rhs_anz3(m))
-    return report
+        yield {"m": m}, lhs_anz3(m), rhs_anz3(m)
 
 
-def check_eq4(m_max: int) -> VerificationReport:
+@_check("EQ4")
+def check_eq4(m_max: int):
     """The term sum for the sign +1 identity against both the closed right
     side and the enumeration left side (the bridge)."""
-    report = _report("EQ4", m_max)
     for m in range(m_max + 1):
         total = sum_ab(m)
-        report.record({"m": m, "route": "terms-vs-closed"}, total, rhs_anz1(m))
-        report.record({"m": m, "route": "terms-vs-enumeration"}, total, lhs_anz1(m))
-    return report
+        yield {"m": m, "route": "terms-vs-closed"}, total, rhs_anz1(m)
+        yield {"m": m, "route": "terms-vs-enumeration"}, total, lhs_anz1(m)
 
 
-def check_eq5(m_max: int) -> VerificationReport:
+@_check("EQ5")
+def check_eq5(m_max: int):
     """The c-term sum against both the closed right side and the
     enumeration left side of the odd-size sign -1 identity."""
-    report = _report("EQ5", m_max)
     for m in range(m_max + 1):
         total = sum_c(m)
-        report.record({"m": m, "route": "terms-vs-closed"}, total, rhs_anz2(m))
-        report.record({"m": m, "route": "terms-vs-enumeration"}, total, lhs_anz2(m))
-    return report
+        yield {"m": m, "route": "terms-vs-closed"}, total, rhs_anz2(m)
+        yield {"m": m, "route": "terms-vs-enumeration"}, total, lhs_anz2(m)
 
 
-def check_a2_sum(m_max: int) -> VerificationReport:
-    report = _report("A2_SUM", m_max)
+@_check("A2_SUM")
+def check_a2_sum(m_max: int):
     for m in range(1, m_max + 1):
         direct = rf_sum(term_a2(k, m) for k in range(1, m + 1))
-        report.record({"m": m, "route": "direct-vs-closed"}, direct, sum_a2_closed(m))
-        report.record({"m": m, "route": "direct-vs-hyper"}, direct, hyper_sum_a2(m))
-        report.record({"m": m, "route": "direct-vs-limit-2phi1"}, direct, phi_sum_a2(m))
-    return report
+        yield {"m": m, "route": "direct-vs-closed"}, direct, sum_a2_closed(m)
+        yield {"m": m, "route": "direct-vs-hyper"}, direct, hyper_sum_a2(m)
+        yield {"m": m, "route": "direct-vs-limit-2phi1"}, direct, phi_sum_a2(m)
 
 
-def check_b2_sum(m_max: int) -> VerificationReport:
-    report = _report("B2_SUM", m_max)
+@_check("B2_SUM")
+def check_b2_sum(m_max: int):
     for m in range(1, m_max + 1):
         direct = rf_sum(term_b2(k, m) for k in range(1, m + 1))
-        report.record({"m": m, "route": "direct-vs-closed"}, direct, sum_b2_closed(m))
-        report.record({"m": m, "route": "direct-vs-hyper"}, direct, hyper_sum_b2(m))
-        report.record({"m": m, "route": "direct-vs-limit-2phi1"}, direct, phi_sum_b2(m))
-    return report
+        yield {"m": m, "route": "direct-vs-closed"}, direct, sum_b2_closed(m)
+        yield {"m": m, "route": "direct-vs-hyper"}, direct, hyper_sum_b2(m)
+        yield {"m": m, "route": "direct-vs-limit-2phi1"}, direct, phi_sum_b2(m)
 
 
-def check_c2_sum(m_max: int) -> VerificationReport:
+@_check("C2_SUM")
+def check_c2_sum(m_max: int):
     """Direct c2 sum against its closed form, plus the termwise relation
     c2_k = -b2_k with m replaced by m+1."""
-    report = _report("C2_SUM", m_max)
     for m in range(m_max + 1):
         direct = rf_sum(term_c2(k, m) for k in range(1, m + 2))
-        report.record({"m": m, "route": "direct-vs-closed"}, direct, sum_c2_closed(m))
+        yield {"m": m, "route": "direct-vs-closed"}, direct, sum_c2_closed(m)
         for k in range(1, m + 2):
-            report.record(
-                {"m": m, "k": k, "route": "c2-vs-neg-b2-shift"},
-                term_c2(k, m),
-                -term_b2(k, m + 1),
-            )
-    return report
+            index = {"m": m, "k": k, "route": "c2-vs-neg-b2-shift"}
+            yield index, term_c2(k, m), -term_b2(k, m + 1)
 
 
-def check_c1_sum(m_max: int) -> VerificationReport:
-    report = _report("C1_SUM", m_max)
+@_check("C1_SUM")
+def check_c1_sum(m_max: int):
     for m in range(m_max + 1):
         direct = rf_sum(term_c1(k, m) for k in range(1, m + 2))
-        report.record({"m": m, "route": "direct-vs-closed"}, direct, sum_c1_closed(m))
-        report.record({"m": m, "route": "direct-vs-hyper"}, direct, hyper_sum_c1(m))
-        report.record({"m": m, "route": "direct-vs-limit-2phi1"}, direct, phi_sum_c1(m))
-    return report
+        yield {"m": m, "route": "direct-vs-closed"}, direct, sum_c1_closed(m)
+        yield {"m": m, "route": "direct-vs-hyper"}, direct, hyper_sum_c1(m)
+        yield {"m": m, "route": "direct-vs-limit-2phi1"}, direct, phi_sum_c1(m)
 
 
-def check_splits(m_max: int) -> VerificationReport:
+@_check("AB_SPLIT")
+def check_splits(m_max: int):
     """Termwise regroupings: a_k + b_k = a2_k + b2_k and c_k = c1_k + c2_k."""
-    report = _report("AB_SPLIT", m_max)
     for m in range(1, m_max + 1):
         for k in range(1, m + 1):
-            report.record(
-                {"m": m, "k": k, "route": "ab-vs-a2b2"},
-                term_a(k, m) + term_b(k, m),
-                term_a2(k, m) + term_b2(k, m),
-            )
+            index = {"m": m, "k": k, "route": "ab-vs-a2b2"}
+            yield index, term_a(k, m) + term_b(k, m), term_a2(k, m) + term_b2(k, m)
     for m in range(m_max + 1):
         for k in range(1, m + 2):
-            report.record(
-                {"m": m, "k": k, "route": "c-vs-c1c2"},
-                term_c(k, m),
-                term_c1(k, m) + term_c2(k, m),
-            )
-    return report
+            index = {"m": m, "k": k, "route": "c-vs-c1c2"}
+            yield index, term_c(k, m), term_c1(k, m) + term_c2(k, m)
 
 
-def check_d(m_max: int) -> VerificationReport:
+@_check("D_EQ_B2")
+def check_d(m_max: int):
     """d_k = b2_k termwise (series extraction vs closed coefficient), and
     the d sum against both sides of the even-size sign -1 identity."""
-    report = _report("D_EQ_B2", m_max)
     for m in range(1, m_max + 1):
         for k in range(1, m + 1):
-            report.record(
-                {"m": m, "k": k, "route": "d-vs-b2"}, term_d(k, m), term_b2(k, m)
-            )
+            yield {"m": m, "k": k, "route": "d-vs-b2"}, term_d(k, m), term_b2(k, m)
     for m in range(m_max + 1):
         total = sum_d(m)
-        report.record({"m": m, "route": "terms-vs-closed"}, total, rhs_anz3(m))
-        report.record({"m": m, "route": "terms-vs-enumeration"}, total, lhs_anz3(m))
-    return report
+        yield {"m": m, "route": "terms-vs-closed"}, total, rhs_anz3(m)
+        yield {"m": m, "route": "terms-vs-enumeration"}, total, lhs_anz3(m)
 
 
-def check_final_combine(m_max: int) -> VerificationReport:
+@_check("FINAL_COMBINE")
+def check_final_combine(m_max: int):
     """The recombination that finishes the sign +1 identity:
     (1-q^{2i})/(1+q) + q^{2i} = (q^{2i+1}+1)/(1+q) per index, and
     sum_a2_closed + sum_b2_closed = rhs_anz1 per m."""
-    report = _report("FINAL_COMBINE", m_max)
     for i in range(1, m_max + 1):
-        report.record(
+        yield (
             {"i": i, "route": "per-index"},
             (1 - q_power(2 * i)) / (1 + q) + q_power(2 * i),
             (q_power(2 * i + 1) + 1) / (1 + q),
         )
     for m in range(1, m_max + 1):
-        report.record(
-            {"m": m, "route": "closed-sums-vs-rhs"},
-            sum_a2_closed(m) + sum_b2_closed(m),
-            rhs_anz1(m),
-        )
-    return report
+        index = {"m": m, "route": "closed-sums-vs-rhs"}
+        yield index, sum_a2_closed(m) + sum_b2_closed(m), rhs_anz1(m)
 
 
-_CHECKS = (
-    check_anz1,
-    check_anz2,
-    check_anz3,
-    check_eq4,
-    check_eq5,
-    check_a2_sum,
-    check_b2_sum,
-    check_c2_sum,
-    check_c1_sum,
-    check_splits,
-    check_d,
-    check_final_combine,
-)
+IDENTITY_IDS = tuple(CHECKS)
+_CHECKS = tuple(CHECKS.values())
+
+#: CLI selector -> identity ids, in output order.  This is not registry
+#: order: ``verify eq5`` reports C1_SUM before C2_SUM.
+SELECTORS = {
+    "anz1": ("ANZ1",),
+    "anz2": ("ANZ2",),
+    "anz3": ("ANZ3",),
+    "eq4": ("EQ4", "A2_SUM", "B2_SUM", "FINAL_COMBINE"),
+    "eq5": ("EQ5", "C1_SUM", "C2_SUM"),
+    "splits": ("AB_SPLIT", "D_EQ_B2"),
+}
 
 
 def verify_all(
@@ -505,7 +489,7 @@ def verify_all(
     hypergeometric sweeps; returns the reports in a stable order."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    reports = [check(m_max) for check in _CHECKS]
+    reports = [check(m_max) for check in CHECKS.values()]
     reports.extend(
         random_hypergeometric_reports(
             n_max=qseries_n_max, tuples_per_n=tuples_per_n, seed=seed

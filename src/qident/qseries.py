@@ -6,7 +6,9 @@ The Pochhammer convention throughout is
 
 with a and r arbitrary elements of Q(q), not just monomials.  The
 terminating 2phi1 and its evaluation/transformation identities are checked
-by computing both displayed sides independently in exact arithmetic.
+by computing both displayed sides independently in exact arithmetic; every
+terminating sum on either side is built by the one term-ratio engine
+``terminating_sum``.
 
 TruncatedSeries provides formal power series in an auxiliary variable u
 with rational-function coefficients, exact through a caller-chosen order.
@@ -75,30 +77,69 @@ class HypergeometricSpec:
             object.__setattr__(self, name, as_rational(getattr(self, name)))
 
 
+def terminating_sum(upper, lower, base, z, n: int, twist: int = 0) -> RationalFunction:
+    """The terminating basic hypergeometric sum
+
+        sum_{k=0}^{n} (a_1, ..., a_r; p)_k / ((p; p)_k (b_1, ..., b_s; p)_k)
+                      * ((-1)^k p^{binom(k,2)})^twist * z^k
+
+    with upper = (a_1, ..., a_r), lower = (b_1, ..., b_s) and base p, where
+    (a_1, ..., a_r; p)_k is the product of the (a_i; p)_k.  With
+    twist = 1 + s - r it is the r-phi-s series of Gasper and Rahman, *Basic
+    Hypergeometric Series*, 2nd ed. (2004), section 1.2, cut off at k = n.
+
+    Each term is the previous one times the term ratio
+    prod_i (1 - a_i p^{k-1}) z ((-1) p^{k-1})^twist
+    / ((1 - p^k) prod_j (1 - b_j p^{k-1})), using only field operations,
+    so the parameters may be Fractions or RationalFunctions.  A zero base
+    with n > 0, or a denominator factor that vanishes at some k <= n, raises
+    DegenerateParameters.
+    """
+    if n > 0 and not base:
+        raise DegenerateParameters("series base is zero")
+    term = power = base ** 0  # power is p^{k-1} while term k is built
+    terms = [term]
+    for k in range(1, n + 1):
+        den = 1
+        for b in (base, *lower):
+            factor = 1 - b * power
+            if not factor:
+                raise DegenerateParameters(f"({b}; {base})_{k} vanishes")
+            den = den * factor
+        num = z
+        for a in upper:
+            num = num * (1 - a * power)
+        if twist:
+            num = num * (-power) ** twist
+        term = term * num / den
+        terms.append(term)
+        power = power * base
+    return rf_sum(terms)
+
+
+def _terminator(base, n: int):
+    """base^{-n}, the upper parameter that ends a sum at k = n; 1 when n = 0
+    or the base is zero (terminating_sum refuses a zero base for n > 0)."""
+    return base ** -n if n and base else 1
+
+
+def _one_comparison(name: str, params: dict, sides) -> VerificationReport:
+    """Report of one comparison: ``sides()`` returns (lhs, rhs) or raises
+    DegenerateParameters, which is recorded as a skip."""
+    report = VerificationReport(name, params=params)
+    try:
+        lhs, rhs = sides()
+    except DegenerateParameters as exc:
+        report.record_skip(dict(params), str(exc))
+    else:
+        report.record(dict(params), lhs, rhs)
+    return report
+
+
 def two_phi_one(spec: HypergeometricSpec) -> RationalFunction:
     """sum_{k=0}^{n} (q^{-n};q)_k (b;q)_k / ((q;q)_k (c;q)_k) z^k."""
-    if spec.n > 0 and spec.q.is_zero:
-        raise DegenerateParameters("series base is zero")
-    a = spec.q ** -spec.n if spec.n else RationalFunction.one()
-    poch_a = poch_b = poch_q = poch_c = RationalFunction.one()
-    zk = RationalFunction.one()
-    rpow = RationalFunction.one()  # q^{k-1} while processing term k
-    terms = [RationalFunction.one()]
-    for k in range(1, spec.n + 1):
-        fq = 1 - spec.q * rpow
-        if fq.is_zero:
-            raise DegenerateParameters(f"(q;q)_{k} vanishes")
-        fc = 1 - spec.c * rpow
-        if fc.is_zero:
-            raise DegenerateParameters(f"(c;q)_{k} vanishes")
-        poch_a = poch_a * (1 - a * rpow)
-        poch_b = poch_b * (1 - spec.b * rpow)
-        poch_q = poch_q * fq
-        poch_c = poch_c * fc
-        zk = zk * spec.z
-        rpow = rpow * spec.q
-        terms.append(poch_a * poch_b / (poch_q * poch_c) * zk)
-    return rf_sum(terms)
+    upper = (_terminator(spec.q, spec.n), spec.b)
+    return terminating_sum(upper, (spec.c,), spec.q, spec.z, spec.n)
 
 
 def qchu_check(n: int, b, c, qbase) -> VerificationReport:
@@ -106,11 +147,8 @@ def qchu_check(n: int, b, c, qbase) -> VerificationReport:
     both sides of 2phi1(q^{-n}, b; c; q, c q^n / b) = (c/b;q)_n / (c;q)_n.
     """
     b, c, qbase = as_rational(b), as_rational(c), as_rational(qbase)
-    report = VerificationReport(
-        "qchu", params={"n": n, "b": str(b), "c": str(c), "q": str(qbase)}
-    )
-    index = {"n": n, "b": str(b), "c": str(c), "q": str(qbase)}
-    try:
+
+    def sides():
         if b.is_zero:
             raise DegenerateParameters("b = 0")
         denom = pochhammer(c, qbase, n)
@@ -118,65 +156,33 @@ def qchu_check(n: int, b, c, qbase) -> VerificationReport:
             raise DegenerateParameters(f"(c;q)_{n} vanishes")
         z = c * qbase ** n / b
         lhs = two_phi_one(HypergeometricSpec(n, b, c, qbase, z))
-        rhs = pochhammer(c / b, qbase, n) / denom
-    except DegenerateParameters as exc:
-        report.record_skip(index, str(exc))
-    else:
-        report.record(index, lhs, rhs)
-    return report
+        return lhs, pochhammer(c / b, qbase, n) / denom
+
+    params = {"n": n, "b": str(b), "c": str(c), "q": str(qbase)}
+    return _one_comparison("qchu", params, sides)
 
 
 def transform_check(spec: HypergeometricSpec) -> VerificationReport:
     """Transformation of the terminating 2phi1: compares the direct sum
     against (c/b;q)_n/(c;q)_n times the transformed sum in powers of q.
     """
-    report = VerificationReport(
-        "transform",
-        params={
-            "n": spec.n,
-            "b": str(spec.b),
-            "c": str(spec.c),
-            "q": str(spec.q),
-            "z": str(spec.z),
-        },
-    )
-    index = dict(report.params)
-    try:
+    n, b, c, base = spec.n, spec.b, spec.c, spec.q
+
+    def sides():
         lhs = two_phi_one(spec)
-        if spec.b.is_zero or spec.c.is_zero:
+        if b.is_zero or c.is_zero:
             raise DegenerateParameters("b or c is zero")
-        poch_c_n = pochhammer(spec.c, spec.q, spec.n)
+        poch_c_n = pochhammer(c, base, n)
         if poch_c_n.is_zero:
-            raise DegenerateParameters(f"(c;q)_{spec.n} vanishes")
-        prefactor = pochhammer(spec.c / spec.b, spec.q, spec.n) / poch_c_n
-        a = spec.q ** -spec.n if spec.n else RationalFunction.one()
-        d = spec.b * spec.z * a / spec.c
-        e = spec.b * spec.q ** (1 - spec.n) / spec.c
-        poch_a = poch_b = poch_d = poch_q = poch_e = RationalFunction.one()
-        qk = RationalFunction.one()
-        rpow = RationalFunction.one()
-        terms = [RationalFunction.one()]
-        for k in range(1, spec.n + 1):
-            fq = 1 - spec.q * rpow
-            fe = 1 - e * rpow
-            if fq.is_zero:
-                raise DegenerateParameters(f"(q;q)_{k} vanishes")
-            if fe.is_zero:
-                raise DegenerateParameters(f"(b q^(1-n)/c;q)_{k} vanishes")
-            poch_a = poch_a * (1 - a * rpow)
-            poch_b = poch_b * (1 - spec.b * rpow)
-            poch_d = poch_d * (1 - d * rpow)
-            poch_q = poch_q * fq
-            poch_e = poch_e * fe
-            qk = qk * spec.q
-            rpow = rpow * spec.q
-            terms.append(poch_a * poch_b * poch_d / (poch_q * poch_e) * qk)
-        rhs = prefactor * rf_sum(terms)
-    except DegenerateParameters as exc:
-        report.record_skip(index, str(exc))
-    else:
-        report.record(index, lhs, rhs)
-    return report
+            raise DegenerateParameters(f"(c;q)_{n} vanishes")
+        prefactor = pochhammer(c / b, base, n) / poch_c_n
+        a = _terminator(base, n)
+        upper = (a, b, b * spec.z * a / c)
+        lower = (b * base ** (1 - n) / c,)
+        return lhs, prefactor * terminating_sum(upper, lower, base, base, n)
+
+    params = {"n": n, "b": str(b), "c": str(c), "q": str(base), "z": str(spec.z)}
+    return _one_comparison("transform", params, sides)
 
 
 def limit_two_phi_one(n: int, c, qbase, z) -> RationalFunction:
@@ -186,30 +192,7 @@ def limit_two_phi_one(n: int, c, qbase, z) -> RationalFunction:
                       / ((q;q)_k (c;q)_k).
     """
     c, qbase, z = as_rational(c), as_rational(qbase), as_rational(z)
-    if n > 0 and qbase.is_zero:
-        raise DegenerateParameters("series base is zero")
-    a = qbase ** -n if n else RationalFunction.one()
-    poch_a = poch_q = poch_c = RationalFunction.one()
-    zk = RationalFunction.one()
-    qbinom = RationalFunction.one()  # q^{binom(k,2)}
-    rpow = RationalFunction.one()
-    terms = [RationalFunction.one()]
-    for k in range(1, n + 1):
-        fq = 1 - qbase * rpow
-        if fq.is_zero:
-            raise DegenerateParameters(f"(q;q)_{k} vanishes")
-        fc = 1 - c * rpow
-        if fc.is_zero:
-            raise DegenerateParameters(f"(c;q)_{k} vanishes")
-        poch_a = poch_a * (1 - a * rpow)
-        poch_q = poch_q * fq
-        poch_c = poch_c * fc
-        zk = zk * z
-        qbinom = qbinom * rpow  # accumulates q^{0+1+...+(k-1)}
-        rpow = rpow * qbase
-        sign = -1 if k % 2 else 1
-        terms.append(sign * poch_a * qbinom * zk / (poch_q * poch_c))
-    return rf_sum(terms)
+    return terminating_sum((_terminator(qbase, n),), (c,), qbase, z, n, twist=1)
 
 
 def limit_transform_check(n: int, c, qbase, z) -> VerificationReport:
@@ -220,41 +203,20 @@ def limit_transform_check(n: int, c, qbase, z) -> VerificationReport:
                                 * (c q^n)^k.
     """
     c, qbase, z = as_rational(c), as_rational(qbase), as_rational(z)
-    report = VerificationReport(
-        "limit-transform",
-        params={"n": n, "c": str(c), "q": str(qbase), "z": str(z)},
-    )
-    index = dict(report.params)
-    try:
+
+    def sides():
         lhs = limit_two_phi_one(n, c, qbase, z)
         if c.is_zero:
             raise DegenerateParameters("c = 0")
         poch_c_n = pochhammer(c, qbase, n)
         if poch_c_n.is_zero:
             raise DegenerateParameters(f"(c;q)_{n} vanishes")
-        a = qbase ** -n if n else RationalFunction.one()
-        d = z * a / c
-        w = c * qbase ** n  # the per-term factor q^k (c q^{n-1})^k
-        poch_a = poch_d = poch_q = RationalFunction.one()
-        wk = RationalFunction.one()
-        rpow = RationalFunction.one()
-        terms = [RationalFunction.one()]
-        for k in range(1, n + 1):
-            fq = 1 - qbase * rpow
-            if fq.is_zero:
-                raise DegenerateParameters(f"(q;q)_{k} vanishes")
-            poch_a = poch_a * (1 - a * rpow)
-            poch_d = poch_d * (1 - d * rpow)
-            poch_q = poch_q * fq
-            wk = wk * w
-            rpow = rpow * qbase
-            terms.append(poch_a * poch_d / poch_q * wk)
-        rhs = rf_sum(terms) / poch_c_n
-    except DegenerateParameters as exc:
-        report.record_skip(index, str(exc))
-    else:
-        report.record(index, lhs, rhs)
-    return report
+        a = _terminator(qbase, n)
+        upper = (a, z * a / c)
+        return lhs, terminating_sum(upper, (), qbase, c * qbase ** n, n) / poch_c_n
+
+    params = {"n": n, "c": str(c), "q": str(qbase), "z": str(z)}
+    return _one_comparison("limit-transform", params, sides)
 
 
 def qbinomial_coefficient(k: int, s: int, qbase) -> RationalFunction:

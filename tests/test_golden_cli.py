@@ -1,8 +1,10 @@
 """Byte-identical CLI output on fixed invocations.
 
-The digests were recorded before coefficients were stored as ``int`` where
-integral; any change to arithmetic, canonical forms or serialization that
-alters a single output byte fails here.
+The first four digests were recorded before coefficients were stored as
+``int`` where integral, the rest before the 2phi1 sums moved onto one
+term-ratio engine and the checks onto one registry.  Any change to
+arithmetic, canonical forms or serialization that alters a single output
+byte fails here.
 """
 
 import hashlib
@@ -17,6 +19,39 @@ GOLDEN = {
     "partitions --n 6 --weights sp": "5db4fec3376fc5afbb7c6616c14a331e44c8f78989dde686a24428038b219584",
     "dist sample --family sp --q 2 --u 1/2 --max-size 6 --count 50 --seed 42": (
         "d2e5f084a142316e7231f48a153183fe97f82eb6fb1144ce1fcc1a72a7f10557"
+    ),
+    "verify anz1 --m-max 4": (
+        "c42ebaec37f6ed6176a169808373e2fefb2ac0da5519270c59ce1062f68a514c"
+    ),
+    "verify anz2 --m-max 4": (
+        "3d1dcb7564a741261081514aeded203428c54d45c81bcf281a7c6da260e4b48c"
+    ),
+    "verify anz3 --m-max 4": (
+        "cd9e1c40644180701fa05f47fe1473fceb054e2508f52bf13a71923cc1eab662"
+    ),
+    "verify eq4 --m-max 4": (
+        "13caa3eefd1ea0170477b01fa26460085ee7ca3c2678a470ca1be6692d8cbe6d"
+    ),
+    "verify eq5 --m-max 4": (
+        "824c8ad0b9db72836eec685d9fd0bf0ab941bd09016be673592adc7fa540b29e"
+    ),
+    "verify splits --m-max 4": (
+        "3a8e69ab72d79474bcce652a1202281f7d8c438c3b724529c22cc76aabb4d1fd"
+    ),
+    "verify eq5 --m-max 4 --format text": (
+        "9e81f907d81334096a4ed0809c0cfb4ef333ad492a33eef5e4ab1d48ec8fd9ae"
+    ),
+    "verify qseries --seed 11 --qseries-n-max 5 --tuples-per-n 10": (
+        "3bc29ff1b758330b23c1e96ac58d92a5fd67d313699753f19ec6ae18db2ffa19"
+    ),
+    "verify marginals --k-max 2 --order 8": (
+        "7aba6fa63ad915f71749ef5e6dc7ebe69dc5cf338eb43d86d0383053b3d14189"
+    ),
+    "verify normalization --order 8": (
+        "11f33478d3ccdd0975e2719df65e043dea4d36870e3e56407e2392e360509f06"
+    ),
+    "dist eval --family o --q 6/5 --u 1/2 --max-size 6": (
+        "63384ffc6623c8dadf007e71abe8e0178eadf49516fb9536a0208abda46c7098"
     ),
 }
 

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qident.qseries import (
     DegenerateParameters,
@@ -18,6 +20,7 @@ from qident.qseries import (
     qchu_check,
     random_hypergeometric_reports,
     reciprocal_pochhammer_series,
+    terminating_sum,
     transform_check,
     two_phi_one,
 )
@@ -229,3 +232,92 @@ def test_randomized_sweeps_deterministic():
     a = random_hypergeometric_reports(n_max=3, tuples_per_n=5, seed=11)
     b = random_hypergeometric_reports(n_max=3, tuples_per_n=5, seed=11)
     assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
+
+
+# --- the term-ratio engine --------------------------------------------------
+
+def oracle_terminating_sum(upper, lower, base, z, n, twist):
+    """Plain-Fraction sum of the displayed r-phi-s terms, each Pochhammer
+    product multiplied out in full; None when a denominator factor vanishes
+    (or the base is 0 with n > 0)."""
+    if n > 0 and base == 0:
+        return None
+    total = Fraction(0)
+    for k in range(n + 1):
+        num = Fraction(1)
+        den = Fraction(1)
+        for j in range(k):
+            for a in upper:
+                num *= 1 - a * base**j
+            for b in (base, *lower):
+                den *= 1 - b * base**j
+        if den == 0:
+            return None
+        sign = (-1) ** k * base ** (k * (k - 1) // 2)
+        total += num / den * sign**twist * z**k
+    return total
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    upper=st.lists(small, max_size=3),
+    lower=st.lists(small, max_size=2),
+    base=small,
+    z=small,
+    n=st.integers(0, 5),
+    twist=st.integers(0, 1),
+    constant_rf=st.booleans(),
+)
+def test_terminating_sum_matches_fraction_oracle(
+    upper, lower, base, z, n, twist, constant_rf
+):
+    expected = oracle_terminating_sum(upper, lower, base, z, n, twist)
+    args = (upper, lower, base, z)
+    if constant_rf:
+        args = (
+            [as_rational(a) for a in upper],
+            [as_rational(b) for b in lower],
+            as_rational(base),
+            as_rational(z),
+        )
+    if expected is None:
+        with pytest.raises(DegenerateParameters):
+            terminating_sum(*args, n, twist)
+    else:
+        assert terminating_sum(*args, n, twist) == expected
+
+
+def test_terminating_sum_small_cases():
+    assert terminating_sum((), (), 0, 5, 0) == 1
+    # sum_k z^k / (q;q)_k at n = 1: 1 + z / (1 - q)
+    assert terminating_sum((), (), q, q**2, 1) == 1 + q**2 / (1 - q)
+    # twist 1 multiplies term k by (-1)^k q^binom(k,2)
+    assert terminating_sum((), (), q, 1, 2, twist=1) == (
+        1 - 1 / (1 - q) + q / ((1 - q) * (1 - q**2))
+    )
+
+
+@pytest.mark.parametrize("base", [Fraction(0), RationalFunction.zero()])
+def test_terminating_sum_refuses_zero_base(base):
+    with pytest.raises(DegenerateParameters):
+        terminating_sum((Fraction(1, 2),), (), base, Fraction(1), 1)
+    assert terminating_sum((Fraction(1, 2),), (), base, Fraction(1), 0) == 1
+
+
+@pytest.mark.parametrize(
+    "lower, base, n",
+    [
+        ((Fraction(1),), Fraction(2), 1),  # 1 - b at k = 1
+        ((Fraction(1, 4),), Fraction(2), 3),  # 1 - b p^2 at k = 3
+        ((), Fraction(-1), 2),  # (p; p)_2 = (1 + 1)(1 - 1) at base -1
+        ((q_power(-2),), q, 3),  # 1 - q^{-2} q^2 at k = 3
+    ],
+)
+def test_terminating_sum_refuses_vanishing_lower_factor(lower, base, n):
+    with pytest.raises(DegenerateParameters):
+        terminating_sum((Fraction(1, 3),), lower, base, Fraction(1, 5), n)
+    # the same parameters one step short of the vanishing factor are fine
+    terminating_sum((Fraction(1, 3),), lower, base, Fraction(1, 5), n - 1)
