@@ -1,0 +1,400 @@
+"""Integer factored-denominator values for the identity chain.
+
+With x = 1/q, every value on the ANZ1-3 derivation chain -- the
+enumeration sides, the first-column terms and their sums, the closed sums
+and their hypergeometric rewrites -- has the form
+
+    x^s * N(x) * prod_j (1 - x^j)^(-e_j)
+
+with N an integer polynomial and integer exponents e_j: a positive e_j is a
+denominator factor, a negative one a numerator factor kept unexpanded.  A
+``Cleared`` value stores exactly that (the shift s, the coefficient tuple
+of N, ascending, with nonzero ends, and the sorted nonzero (j, e_j) pairs)
+and its arithmetic never takes a gcd:
+
+* a product adds the shifts and the exponents and convolves the N lists;
+* division is allowed only by a unit, +-x^t times a product of factors
+  (1 - x^j) -- (x^2;x^2)_n, 1 +- x^j and q + 1 are units -- and negates its
+  exponents; dividing by anything else raises ArithmeticError;
+* a sum groups its terms by exponent vector, adds each group's N lists and
+  expands each group once to the common denominator (the largest exponent
+  per j); multiplying by (1 - x^j) is a shift and a subtract;
+* equality expands both sides to one common denominator and compares the
+  integer lists.
+
+A result whose N has exactly two nonzero coefficients, both +-1, is a unit
+and is stored factored: 1 - x^d as the factor itself, 1 + x^d as
+(1 - x^2d) / (1 - x^d).  So 1 - q^k, q + 1 and (a; p)_n for monomial a and
+p built by ordinary arithmetic stay divisors.
+
+Mixed arithmetic with a RationalFunction, a Fraction or a Polynomial falls
+back to the canonical RationalFunction (``to_rational``); ints stay in the
+kernel.  ``str`` is the canonical RationalFunction string and ``evaluate``
+is exact, so reports and numeric replays read the same as on
+RationalFunction.  Only ``identities`` computes on this type; the
+hypergeometric sweeps, the distribution series and the sampler stay on
+RationalFunction, and so do ``partitions.summand_weight`` and
+``qseries.coeff_u_lemma``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .rational import Polynomial, RationalFunction, as_rational, rf_sum
+
+_RATIONAL = (RationalFunction, Fraction, Polynomial)
+
+
+def _times_one_minus(a: list, j: int) -> list:
+    """The integer list a(x) * (1 - x^j)."""
+    out = a + [0] * j
+    out[j:] = [u - v for u, v in zip(out[j:], a)]
+    return out
+
+
+def _convolve(a: tuple, b: tuple) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    width = len(b)
+    for i, u in enumerate(a):
+        if u:
+            out[i:i + width] = [w + u * v for w, v in zip(out[i:i + width], b)]
+    return out
+
+
+def _exps(pairs) -> tuple:
+    """Exponent vector as sorted nonzero (j, e_j) pairs."""
+    return tuple(sorted((j, e) for j, e in pairs if e))
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    if not b:
+        return a
+    if not a:
+        return b
+    total = dict(a)
+    for j, e in b:
+        total[j] = total.get(j, 0) + e
+    return _exps(total.items())
+
+
+def _common(vectors) -> dict:
+    """The common denominator of values with these exponent vectors: the
+    largest e_j per j, where a vector without j counts as e_j = 0."""
+    target: dict[int, int] = {}
+    seen: dict[int, int] = {}
+    for exps in vectors:
+        for j, e in exps:
+            if j not in target or e > target[j]:
+                target[j] = e
+            seen[j] = seen.get(j, 0) + 1
+    for j, count in seen.items():
+        if count < len(vectors) and target[j] < 0:
+            target[j] = 0
+    return target
+
+
+def _expand(num: list, exps: tuple, target: dict) -> list:
+    """num times prod_j (1 - x^j)^(target_j - e_j): the numerator over the
+    denominator ``target``, which must contain every factor of ``exps``."""
+    have = dict(exps)
+    for j in target.keys() | have.keys():
+        missing = target.get(j, 0) - have.get(j, 0)
+        if missing < 0:
+            raise ArithmeticError(f"denominator lacks (1 - x^{j})^{-missing}")
+        for _ in range(missing):
+            num = _times_one_minus(num, j)
+    return num
+
+
+def _make(shift: int, num: list, exps: tuple) -> "Cleared":
+    """Normalize: strip zero ends into the shift, store a two-term +-1
+    numerator as its unit factors."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return ZERO
+    low = 0
+    while not num[low]:
+        low += 1
+    if low:
+        num = num[low:]
+        shift += low
+    d = len(num) - 1
+    if d and num[0] in (1, -1) and num[-1] in (1, -1) and not any(num[1:-1]):
+        if num[-1] == num[0]:  # 1 + x^d = (1 - x^2d) / (1 - x^d)
+            exps = _merge(exps, ((d, 1), (2 * d, -1)))
+        else:
+            exps = _merge(exps, ((d, -1),))
+        num = num[:1]
+    return Cleared._raw(shift, tuple(num), exps)
+
+
+def _dense(acc: dict) -> tuple[int, list]:
+    low = min(acc)
+    num = [0] * (max(acc) - low + 1)
+    for d, c in acc.items():
+        num[d - low] = c
+    return low, num
+
+
+def _sum(values) -> "Cleared":
+    groups: dict[tuple, dict[int, int]] = {}
+    for v in values:
+        if not v.num:
+            continue
+        acc = groups.get(v.exps)
+        if acc is None:
+            acc = groups[v.exps] = {}
+        s = v.shift
+        for i, c in enumerate(v.num):
+            acc[s + i] = acc.get(s + i, 0) + c
+    parts = []
+    for exps, acc in groups.items():
+        low, num = _dense(acc)
+        if any(num):
+            parts.append((exps, low, num))
+    if not parts:
+        return ZERO
+    if len(parts) == 1:
+        return _make(parts[0][1], parts[0][2], parts[0][0])
+    target = _common([exps for exps, _, _ in parts])
+    parts = [(low, _expand(num, exps, target)) for exps, low, num in parts]
+    low = min(p[0] for p in parts)
+    total = [0] * (max(s + len(num) for s, num in parts) - low)
+    for s, num in parts:
+        i = s - low
+        total[i:i + len(num)] = [a + b for a, b in zip(total[i:i + len(num)], num)]
+    return _make(low, total, _exps(target.items()))
+
+
+def _lift(value):
+    """A kernel value, an int as a kernel constant, else None."""
+    if isinstance(value, Cleared):
+        return value
+    if isinstance(value, int):
+        return Cleared._raw(0, (value,), ()) if value else ZERO
+    return None
+
+
+class Cleared:
+    """x^shift * num(x) * prod_j (1 - x^j)^(-e_j) with x = 1/q, integer
+    coefficients ``num`` and exponent pairs ``exps``; see the module
+    docstring for the arithmetic."""
+
+    __slots__ = ("shift", "num", "exps")
+
+    def __init__(self, num=(1,), shift: int = 0, exps=()):
+        """``num`` is a sequence of ints (ascending powers of x); ``exps``
+        maps j >= 1 to e_j (a dict or (j, e_j) pairs)."""
+        pairs = exps.items() if isinstance(exps, dict) else exps
+        total: dict[int, int] = {}
+        for j, e in pairs:
+            if j < 1:
+                raise ValueError(f"factor (1 - x^{j}) needs j >= 1")
+            total[j] = total.get(j, 0) + e
+        num = list(num)
+        if any(type(c) is not int for c in num):
+            raise TypeError("coefficients must be ints")
+        value = _make(shift, num, _exps(total.items()))
+        self.shift, self.num, self.exps = value.shift, value.num, value.exps
+
+    @classmethod
+    def _raw(cls, shift: int, num: tuple, exps: tuple) -> "Cleared":
+        self = cls.__new__(cls)
+        self.shift, self.num, self.exps = shift, num, exps
+        return self
+
+    @classmethod
+    def zero(cls) -> "Cleared":
+        return ZERO
+
+    @classmethod
+    def one(cls) -> "Cleared":
+        return ONE
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def __bool__(self):
+        return bool(self.num)
+
+    @property
+    def is_unit(self) -> bool:
+        """+-x^t times factors (1 - x^j): the values one may divide by."""
+        return len(self.num) == 1 and self.num[0] in (1, -1)
+
+    def to_rational(self) -> RationalFunction:
+        """The canonical RationalFunction of this value."""
+        if not self.num:
+            return RationalFunction.zero()
+        top, bottom = list(self.num), [1]
+        for j, e in self.exps:
+            for _ in range(abs(e)):
+                if e < 0:
+                    top = _times_one_minus(top, j)
+                else:
+                    bottom = _times_one_minus(bottom, j)
+        # x^s top(x) / bottom(x) = q^t rev(top)(q) / rev(bottom)(q)
+        t = len(bottom) - len(top) - self.shift
+        top.reverse()
+        bottom.reverse()
+        if t > 0:
+            top = [0] * t + top
+        elif t < 0:
+            bottom = [0] * -t + bottom
+        return RationalFunction(Polynomial(top), Polynomial(bottom))
+
+    def evaluate(self, point) -> Fraction:
+        """Exact value at a rational point q; at q = 0 or where a
+        denominator factor vanishes, the canonical value decides (a value or
+        PoleError)."""
+        point = Fraction(point)
+        if not self.num:
+            return Fraction(0)
+        if point:
+            x = 1 / point
+            value = Fraction(0)
+            for c in reversed(self.num):
+                value = value * x + c
+            for j, e in self.exps:
+                factor = 1 - x**j
+                if e > 0 and not factor:
+                    break
+                value *= factor ** -e
+            else:
+                return value * x**self.shift
+        return self.to_rational().evaluate(point)
+
+    # -- arithmetic -------------------------------------------------------
+
+    def __add__(self, other):
+        o = _lift(other)
+        if o is None:
+            return self.to_rational() + other if isinstance(other, _RATIONAL) else NotImplemented
+        return _sum((self, o))
+
+    def __radd__(self, other):
+        o = _lift(other)
+        if o is None:
+            return other + self.to_rational() if isinstance(other, _RATIONAL) else NotImplemented
+        return _sum((o, self))
+
+    def __neg__(self):
+        return Cleared._raw(self.shift, tuple([-c for c in self.num]), self.exps)
+
+    def __sub__(self, other):
+        o = _lift(other)
+        if o is None:
+            return self.to_rational() - other if isinstance(other, _RATIONAL) else NotImplemented
+        return _sum((self, -o))
+
+    def __rsub__(self, other):
+        o = _lift(other)
+        if o is None:
+            return other - self.to_rational() if isinstance(other, _RATIONAL) else NotImplemented
+        return _sum((o, -self))
+
+    def __mul__(self, other):
+        o = _lift(other)
+        if o is None:
+            return self.to_rational() * other if isinstance(other, _RATIONAL) else NotImplemented
+        a, b = self.num, o.num
+        if not a or not b:
+            return ZERO
+        shift, exps = self.shift + o.shift, _merge(self.exps, o.exps)
+        if len(a) == 1 or len(b) == 1:
+            c, rest = (a[0], b) if len(a) == 1 else (b[0], a)
+            num = rest if c == 1 else tuple([c * v for v in rest])
+            return Cleared._raw(shift, num, exps)
+        return _make(shift, _convolve(a, b), exps)
+
+    __rmul__ = __mul__
+
+    def reciprocal(self) -> "Cleared":
+        """1/self for a unit; ArithmeticError for any other value."""
+        if not self.num:
+            raise ZeroDivisionError("reciprocal of zero")
+        if not self.is_unit:
+            raise ArithmeticError(f"division by the non-unit {self!r}")
+        return Cleared._raw(-self.shift, self.num, tuple([(j, -e) for j, e in self.exps]))
+
+    def __truediv__(self, other):
+        o = _lift(other)
+        if o is None:
+            return self.to_rational() / other if isinstance(other, _RATIONAL) else NotImplemented
+        return self * o.reciprocal()
+
+    def __rtruediv__(self, other):
+        o = _lift(other)
+        if o is None:
+            return other / self.to_rational() if isinstance(other, _RATIONAL) else NotImplemented
+        return o * self.reciprocal()
+
+    def __pow__(self, e: int):
+        if not isinstance(e, int):
+            return NotImplemented
+        base = self if e >= 0 else self.reciprocal()
+        result = ONE
+        for _ in range(abs(e)):
+            result = result * base
+        return result
+
+    def __eq__(self, other):
+        o = _lift(other)
+        if o is None:
+            return self.to_rational() == other if isinstance(other, _RATIONAL) else NotImplemented
+        if self.exps == o.exps:
+            return self.shift == o.shift and self.num == o.num
+        if not self.num or not o.num or self.shift != o.shift:
+            return False
+        target = _common((self.exps, o.exps))
+        return _expand(list(self.num), self.exps, target) == _expand(
+            list(o.num), o.exps, target
+        )
+
+    def __hash__(self):
+        return hash(self.to_rational())
+
+    def __repr__(self):
+        return f"Cleared({list(self.num)!r}, shift={self.shift}, exps={dict(self.exps)!r})"
+
+    def __str__(self):
+        return str(self.to_rational())
+
+
+ZERO = Cleared._raw(0, (), ())
+ONE = Cleared._raw(0, (1,), ())
+
+
+def q_power(e: int) -> Cleared:
+    """q^e = x^(-e) for any integer e."""
+    return Cleared._raw(-e, (1,), ())
+
+
+#: The generator q = 1/x.
+q = q_power(1)
+
+
+def pochhammer_inv_q2(n: int) -> Cleared:
+    """(1/q^2; 1/q^2)_n = (x^2; x^2)_n, the numerator factors (1 - x^2j)."""
+    if n < 0:
+        raise ValueError("Pochhammer length must be nonnegative")
+    return Cleared._raw(0, (1,), tuple([(2 * j, -1) for j in range(1, n + 1)]))
+
+
+def csum(terms):
+    """Sum kernel values and ints in one pass (an empty sum is the kernel's
+    zero); if any term is a RationalFunction or a Fraction, the whole sum
+    goes to rational.rf_sum instead."""
+    terms = list(terms)
+    lifted = [_lift(t) for t in terms]
+    if any(t is None for t in lifted):
+        return rf_sum(terms)
+    return _sum(lifted)
+
+
+def as_element(value):
+    """A kernel value as it is; anything else coerced into Q(q)."""
+    return value if isinstance(value, Cleared) else as_rational(value)

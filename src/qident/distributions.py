@@ -84,14 +84,29 @@ class MeasureParams:
 
     @classmethod
     def with_tolerance(cls, q, u, tolerance) -> "MeasureParams":
-        """Choose the smallest cutoff whose tail bound meets the tolerance."""
+        """Choose the smallest cutoff whose tail bound meets the tolerance.
+
+        The bound falls as the cutoff grows, so the search doubles an upper
+        cutoff until the bound meets the tolerance and then bisects, with
+        the exact comparison at every step: O(log cutoff) comparisons
+        instead of one per cutoff (the cutoff grows like 1/(q - 1))."""
         q, u, tolerance = Fraction(q), Fraction(u), Fraction(tolerance)
         if q <= 1 or not 0 < u < 1 or tolerance <= 0:
             raise ValueError("need q > 1, 0 < u < 1 and a positive tolerance")
-        cutoff = 0
-        while u**2 * q ** (1 - 2 * cutoff) / (q**2 - 1) > tolerance:
-            cutoff += 1
-        return cls(q, u, cutoff, tolerance)
+
+        def too_loose(cutoff: int) -> bool:
+            return u**2 * q ** (1 - 2 * cutoff) / (q**2 - 1) > tolerance
+
+        low, high = -1, 0  # too_loose(low) holds (vacuously at -1)
+        while too_loose(high):
+            low, high = high, 2 * high + 1
+        while high - low > 1:
+            mid = (low + high) // 2
+            if too_loose(mid):
+                low = mid
+            else:
+                high = mid
+        return cls(q, u, high, tolerance)
 
 
 def truncated_prefactor(family: Family, params: MeasureParams) -> Fraction:

@@ -23,6 +23,20 @@ registered under its id in ``CHECKS``; one runner records the rows in a
 ``VerificationReport``.  ``IDENTITY_IDS``, ``verify_all`` and the CLI
 selectors (``SELECTORS``: selector -> ids, in output order) all read from
 that registry.
+
+Representation: every value here is a ``cleared.Cleared``, an integer
+Laurent polynomial in x = 1/q over a product of factors (1 - x^j).  The
+partition weights, the Pochhammer products, the coefficient lemma and the
+closed-form summands are units of that kernel, so the chain runs on integer
+lists with no polynomial gcd, and a comparison is an equality of integer
+lists over one common denominator.  The hypergeometric rewrites reach the
+kernel through the generic ``qseries.pochhammer`` and
+``qseries.terminating_sum``, and ``term_d`` through ``TruncatedSeries``.
+The values interoperate with ``RationalFunction`` (``to_rational``, ``str``
+and ``evaluate`` are the canonical ones).  The 2phi1 sweeps, the series and
+distributions, ``qseries.coeff_u_lemma`` and ``partitions.summand_weight``
+(the weights the CLI prints) stay on ``RationalFunction``; ``coeff_u_lemma``
+and ``summand_weight`` here are their kernel counterparts.
 """
 
 from __future__ import annotations
@@ -30,18 +44,24 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import lru_cache, wraps
 
-from .partitions import ParityConstraint, enumerate_partitions, summand_weight
+from .cleared import ZERO, Cleared, csum, pochhammer_inv_q2, q, q_power
+from .partitions import ParityConstraint, enumerate_partitions, weight_exponent
 from .qseries import (
     DEFAULT_SEED,
-    coeff_u_lemma,
     limit_two_phi_one,
     pochhammer,
-    pochhammer_inv_q2,
+    qbinomial_coefficient,
     random_hypergeometric_reports,
     reciprocal_pochhammer_series,
 )
-from .rational import RationalFunction, q, q_power, rf_sum
 from .report import VerificationReport
+
+#: lru_cache size of the per-m sides: one entry per m, so m = 0..31 stay
+#: cached for each side, which covers ``verify all`` up to m_max = 31.
+_SIDE_CACHE = 32
+#: lru_cache size of the coefficient lemma, keyed by (k, m): ``verify all``
+#: at m_max = M asks for 1 <= k <= m <= M + 1, 528 pairs for M = 31.
+_LEMMA_CACHE = 528
 
 
 def _alt_sign(i: int) -> int:
@@ -58,41 +78,54 @@ def _require_range(k: int, lo: int, hi: int) -> None:
 # Enumeration sides
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def lhs_anz1(m: int) -> RationalFunction:
+def summand_weight(partition, sign: int) -> Cleared:
+    """``partitions.summand_weight`` on the kernel, a unit built from its
+    factors: x^{weight_exponent} (1 - x^{columns_1}) / prod_i
+    (x^2;x^2)_{floor(m_i/2)}."""
+    if not partition.num_parts:
+        return ZERO
+    exps = {partition.num_parts: -1}
+    for mult in partition.multiplicities.values():
+        for j in range(2, mult + 1, 2):
+            exps[j] = exps.get(j, 0) + 1
+    return Cleared(shift=weight_exponent(partition, sign), exps=exps)
+
+
+@lru_cache(maxsize=_SIDE_CACHE)
+def lhs_anz1(m: int) -> Cleared:
     """Sum of sign +1 weights over partitions of 2m whose odd parts all
     occur with even multiplicity."""
     parts = enumerate_partitions(2 * m, ParityConstraint.ODD_PARTS_EVEN_MULTIPLICITY)
-    return rf_sum(summand_weight(p, +1) for p in parts)
+    return csum(summand_weight(p, +1) for p in parts)
 
 
-@lru_cache(maxsize=None)
-def lhs_anz2(m: int) -> RationalFunction:
+@lru_cache(maxsize=_SIDE_CACHE)
+def lhs_anz2(m: int) -> Cleared:
     """Sum of sign -1 weights over partitions of 2m+1 whose even parts all
     occur with even multiplicity."""
     parts = enumerate_partitions(
         2 * m + 1, ParityConstraint.EVEN_PARTS_EVEN_MULTIPLICITY
     )
-    return rf_sum(summand_weight(p, -1) for p in parts)
+    return csum(summand_weight(p, -1) for p in parts)
 
 
-@lru_cache(maxsize=None)
-def lhs_anz3(m: int) -> RationalFunction:
+@lru_cache(maxsize=_SIDE_CACHE)
+def lhs_anz3(m: int) -> Cleared:
     """Sum of sign -1 weights over partitions of 2m whose even parts all
     occur with even multiplicity."""
     parts = enumerate_partitions(2 * m, ParityConstraint.EVEN_PARTS_EVEN_MULTIPLICITY)
-    return rf_sum(summand_weight(p, -1) for p in parts)
+    return csum(summand_weight(p, -1) for p in parts)
 
 
 # ---------------------------------------------------------------------------
 # Closed-form right sides
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def rhs_anz1(m: int) -> RationalFunction:
+@lru_cache(maxsize=_SIDE_CACHE)
+def rhs_anz1(m: int) -> Cleared:
     """1/(q^m (q+1)) * sum_{i=1}^{m} (-1)^{i-1} (q^{2i+1}+1)
     / (q^{i(i+1)} (1/q^2;1/q^2)_{m-i}); empty sum for m = 0."""
-    body = rf_sum(
+    body = csum(
         _alt_sign(i)
         * (q_power(2 * i + 1) + 1)
         * q_power(-i * (i + 1))
@@ -102,21 +135,21 @@ def rhs_anz1(m: int) -> RationalFunction:
     return q_power(-m) * body / (q + 1)
 
 
-@lru_cache(maxsize=None)
-def rhs_anz2(m: int) -> RationalFunction:
+@lru_cache(maxsize=_SIDE_CACHE)
+def rhs_anz2(m: int) -> Cleared:
     """1/(q^m (1/q^2;1/q^2)_m) + 1/q^{m+1} * sum_{i=0}^{m} (-1)^{i-1}
     / (q^{i(i+1)} (1/q^2;1/q^2)_{m-i})."""
-    body = rf_sum(
+    body = csum(
         _alt_sign(i) * q_power(-i * (i + 1)) / pochhammer_inv_q2(m - i)
         for i in range(m + 1)
     )
     return q_power(-m) / pochhammer_inv_q2(m) + q_power(-(m + 1)) * body
 
 
-@lru_cache(maxsize=None)
-def rhs_anz3(m: int) -> RationalFunction:
+@lru_cache(maxsize=_SIDE_CACHE)
+def rhs_anz3(m: int) -> Cleared:
     """1/q^m * sum_{i=1}^{m} (-1)^{i-1} / (q^{i(i-1)} (1/q^2;1/q^2)_{m-i})."""
-    body = rf_sum(
+    body = csum(
         _alt_sign(i) * q_power(-i * (i - 1)) / pochhammer_inv_q2(m - i)
         for i in range(1, m + 1)
     )
@@ -127,14 +160,23 @@ def rhs_anz3(m: int) -> RationalFunction:
 # First-column class terms (coefficient-extraction route)
 # ---------------------------------------------------------------------------
 
-def term_a(k: int, m: int) -> RationalFunction:
+@lru_cache(maxsize=_LEMMA_CACHE)
+def coeff_u_lemma(k: int, m: int) -> Cleared:
+    """``qseries.coeff_u_lemma`` on the kernel, a product of units:
+    (q^{-2k}; q^{-2})_{m-k} / (q^{-2}; q^{-2})_{m-k} * q^{-(m-k)}."""
+    if k < 0 or m < k:
+        raise ValueError(f"need m >= k >= 0, got k={k}, m={m}")
+    return qbinomial_coefficient(k, m - k, q_power(-2)) * q_power(k - m)
+
+
+def term_a(k: int, m: int) -> Cleared:
     """Even first-column class 2k of the sign +1 sum, after absorbing the
     (1 - q^{-2k}) head into the Pochhammer."""
     _require_range(k, 1, m)
     return q_power(-(2 * k * k + k)) / pochhammer_inv_q2(k - 1) * coeff_u_lemma(k, m)
 
 
-def term_b(k: int, m: int) -> RationalFunction:
+def term_b(k: int, m: int) -> Cleared:
     """Odd first-column class 2k-1 of the sign +1 sum, with its explicit
     (1 - q^{1-2k}) head."""
     _require_range(k, 1, m)
@@ -146,7 +188,7 @@ def term_b(k: int, m: int) -> RationalFunction:
     )
 
 
-def term_a2(k: int, m: int) -> RationalFunction:
+def term_a2(k: int, m: int) -> Cleared:
     """First piece of the regrouped split of term_a + term_b."""
     _require_range(k, 1, m)
     return (
@@ -157,13 +199,13 @@ def term_a2(k: int, m: int) -> RationalFunction:
     )
 
 
-def term_b2(k: int, m: int) -> RationalFunction:
+def term_b2(k: int, m: int) -> Cleared:
     """Second piece of the regrouped split of term_a + term_b."""
     _require_range(k, 1, m)
     return q_power(-(2 * k * k - k)) / pochhammer_inv_q2(k - 1) * coeff_u_lemma(k, m)
 
 
-def term_c1(k: int, m: int) -> RationalFunction:
+def term_c1(k: int, m: int) -> Cleared:
     """Head-free part of the odd first-column class term of the odd-size
     sign -1 sum (index runs to k = m+1)."""
     _require_range(k, 1, m + 1)
@@ -174,18 +216,18 @@ def term_c1(k: int, m: int) -> RationalFunction:
     )
 
 
-def term_c2(k: int, m: int) -> RationalFunction:
+def term_c2(k: int, m: int) -> Cleared:
     """Correction part of the split: -q^{1-2k} * term_c1."""
     return -q_power(1 - 2 * k) * term_c1(k, m)
 
 
-def term_c(k: int, m: int) -> RationalFunction:
+def term_c(k: int, m: int) -> Cleared:
     """Odd first-column class term of the odd-size sign -1 sum, with its
     (1 - q^{1-2k}) head; equals term_c1 + term_c2 by construction."""
     return (1 - q_power(1 - 2 * k)) * term_c1(k, m)
 
 
-def term_d(k: int, m: int) -> RationalFunction:
+def term_d(k: int, m: int) -> Cleared:
     """Even first-column class term of the even-size sign -1 sum.
 
     The coefficient of u^{m-k} is extracted from the truncated series of
@@ -201,26 +243,26 @@ def term_d(k: int, m: int) -> RationalFunction:
     )
 
 
-def sum_ab(m: int) -> RationalFunction:
-    return rf_sum(term_a(k, m) + term_b(k, m) for k in range(1, m + 1))
+def sum_ab(m: int) -> Cleared:
+    return csum(term_a(k, m) + term_b(k, m) for k in range(1, m + 1))
 
 
-def sum_c(m: int) -> RationalFunction:
-    return rf_sum(term_c(k, m) for k in range(1, m + 2))
+def sum_c(m: int) -> Cleared:
+    return csum(term_c(k, m) for k in range(1, m + 2))
 
 
-def sum_d(m: int) -> RationalFunction:
-    return rf_sum(term_d(k, m) for k in range(1, m + 1))
+def sum_d(m: int) -> Cleared:
+    return csum(term_d(k, m) for k in range(1, m + 1))
 
 
 # ---------------------------------------------------------------------------
 # Closed forms and hypergeometric rewrites of the term sums
 # ---------------------------------------------------------------------------
 
-def sum_a2_closed(m: int) -> RationalFunction:
+def sum_a2_closed(m: int) -> Cleared:
     """1/(q^m (1+q)) * sum_{i=1}^{m} (-1)^{i-1} q^{-i(i+1)} (1 - q^{2i})
     / (1/q^2;1/q^2)_{m-i}."""
-    body = rf_sum(
+    body = csum(
         _alt_sign(i)
         * q_power(-i * (i + 1))
         * (1 - q_power(2 * i))
@@ -230,10 +272,10 @@ def sum_a2_closed(m: int) -> RationalFunction:
     return q_power(-m) * body / (1 + q)
 
 
-def sum_b2_closed(m: int) -> RationalFunction:
+def sum_b2_closed(m: int) -> Cleared:
     """q^{-m} * sum_{i=1}^{m} (-1)^{i-1} q^{-i(i+1)} q^{2i}
     / (1/q^2;1/q^2)_{m-i}."""
-    body = rf_sum(
+    body = csum(
         _alt_sign(i)
         * q_power(-i * (i + 1))
         * q_power(2 * i)
@@ -243,25 +285,25 @@ def sum_b2_closed(m: int) -> RationalFunction:
     return q_power(-m) * body
 
 
-def sum_c2_closed(m: int) -> RationalFunction:
+def sum_c2_closed(m: int) -> Cleared:
     """q^{-m-1} * sum_{i=0}^{m} (-1)^{i-1} q^{-i(i+1)} / (1/q^2;1/q^2)_{m-i}."""
-    body = rf_sum(
+    body = csum(
         _alt_sign(i) * q_power(-i * (i + 1)) / pochhammer_inv_q2(m - i)
         for i in range(m + 1)
     )
     return q_power(-(m + 1)) * body
 
 
-def sum_c1_closed(m: int) -> RationalFunction:
+def sum_c1_closed(m: int) -> Cleared:
     """1/(q^m (1/q^2;1/q^2)_m)."""
     return q_power(-m) / pochhammer_inv_q2(m)
 
 
-def hyper_sum_a2(m: int) -> RationalFunction:
+def hyper_sum_a2(m: int) -> Cleared:
     """The a2 sum as an explicit basic hypergeometric s-sum."""
     if m < 1:
         raise ValueError("defined for m >= 1")
-    body = rf_sum(
+    body = csum(
         (1 if s % 2 == 0 else -1)
         * pochhammer(q_power(2 * m - 2), q_power(-2), s)
         / pochhammer_inv_q2(s) ** 2
@@ -271,11 +313,11 @@ def hyper_sum_a2(m: int) -> RationalFunction:
     return q_power(-m) * (1 - q) * body
 
 
-def hyper_sum_b2(m: int) -> RationalFunction:
+def hyper_sum_b2(m: int) -> Cleared:
     """The b2 sum as an explicit basic hypergeometric s-sum."""
     if m < 1:
         raise ValueError("defined for m >= 1")
-    body = rf_sum(
+    body = csum(
         (1 if s % 2 == 0 else -1)
         * pochhammer(q_power(2 * m - 2), q_power(-2), s)
         / pochhammer_inv_q2(s) ** 2
@@ -285,7 +327,7 @@ def hyper_sum_b2(m: int) -> RationalFunction:
     return q_power(-m) * body
 
 
-def phi_sum_a2(m: int) -> RationalFunction:
+def phi_sum_a2(m: int) -> Cleared:
     """The a2 sum through the large-b limit of the terminating 2phi1."""
     if m < 1:
         raise ValueError("defined for m >= 1")
@@ -293,7 +335,7 @@ def phi_sum_a2(m: int) -> RationalFunction:
     return q_power(-m - 2) * (1 - q) * phi
 
 
-def phi_sum_b2(m: int) -> RationalFunction:
+def phi_sum_b2(m: int) -> Cleared:
     """The b2 sum through the large-b limit of the terminating 2phi1."""
     if m < 1:
         raise ValueError("defined for m >= 1")
@@ -301,9 +343,9 @@ def phi_sum_b2(m: int) -> RationalFunction:
     return q_power(-m) * phi
 
 
-def hyper_sum_c1(m: int) -> RationalFunction:
+def hyper_sum_c1(m: int) -> Cleared:
     """The c1 sum as an explicit k-sum with ascending base q^2."""
-    body = rf_sum(
+    body = csum(
         pochhammer(q_power(-2 * m), q_power(2), k)
         / pochhammer_inv_q2(k) ** 2
         * q_power(-2 * k * k)
@@ -312,7 +354,7 @@ def hyper_sum_c1(m: int) -> RationalFunction:
     return q_power(-m) * body
 
 
-def phi_sum_c1(m: int) -> RationalFunction:
+def phi_sum_c1(m: int) -> Cleared:
     """The c1 sum through the large-b limit of the terminating 2phi1."""
     phi = limit_two_phi_one(m, q_power(-2), q_power(-2), q_power(-2 * m - 2))
     return q_power(-m) * phi
@@ -386,7 +428,7 @@ def check_eq5(m_max: int):
 @_check("A2_SUM")
 def check_a2_sum(m_max: int):
     for m in range(1, m_max + 1):
-        direct = rf_sum(term_a2(k, m) for k in range(1, m + 1))
+        direct = csum(term_a2(k, m) for k in range(1, m + 1))
         yield {"m": m, "route": "direct-vs-closed"}, direct, sum_a2_closed(m)
         yield {"m": m, "route": "direct-vs-hyper"}, direct, hyper_sum_a2(m)
         yield {"m": m, "route": "direct-vs-limit-2phi1"}, direct, phi_sum_a2(m)
@@ -395,7 +437,7 @@ def check_a2_sum(m_max: int):
 @_check("B2_SUM")
 def check_b2_sum(m_max: int):
     for m in range(1, m_max + 1):
-        direct = rf_sum(term_b2(k, m) for k in range(1, m + 1))
+        direct = csum(term_b2(k, m) for k in range(1, m + 1))
         yield {"m": m, "route": "direct-vs-closed"}, direct, sum_b2_closed(m)
         yield {"m": m, "route": "direct-vs-hyper"}, direct, hyper_sum_b2(m)
         yield {"m": m, "route": "direct-vs-limit-2phi1"}, direct, phi_sum_b2(m)
@@ -406,7 +448,7 @@ def check_c2_sum(m_max: int):
     """Direct c2 sum against its closed form, plus the termwise relation
     c2_k = -b2_k with m replaced by m+1."""
     for m in range(m_max + 1):
-        direct = rf_sum(term_c2(k, m) for k in range(1, m + 2))
+        direct = csum(term_c2(k, m) for k in range(1, m + 2))
         yield {"m": m, "route": "direct-vs-closed"}, direct, sum_c2_closed(m)
         for k in range(1, m + 2):
             index = {"m": m, "k": k, "route": "c2-vs-neg-b2-shift"}
@@ -416,7 +458,7 @@ def check_c2_sum(m_max: int):
 @_check("C1_SUM")
 def check_c1_sum(m_max: int):
     for m in range(m_max + 1):
-        direct = rf_sum(term_c1(k, m) for k in range(1, m + 2))
+        direct = csum(term_c1(k, m) for k in range(1, m + 2))
         yield {"m": m, "route": "direct-vs-closed"}, direct, sum_c1_closed(m)
         yield {"m": m, "route": "direct-vs-hyper"}, direct, hyper_sum_c1(m)
         yield {"m": m, "route": "direct-vs-limit-2phi1"}, direct, phi_sum_c1(m)

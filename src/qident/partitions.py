@@ -71,11 +71,14 @@ class Partition:
     @cached_property
     def columns(self) -> tuple[int, ...]:
         """Column lengths of the diagram, i.e. the conjugate's parts."""
-        if not self.parts:
-            return ()
-        return tuple(
-            sum(1 for p in self.parts if p >= i) for i in range(1, self.parts[0] + 1)
-        )
+        parts = self.parts
+        columns = []
+        count = len(parts)  # parts >= i, found from the smallest part up
+        for i in range(1, parts[0] + 1 if parts else 1):
+            while parts[count - 1] < i:
+                count -= 1
+            columns.append(count)
+        return tuple(columns)
 
     @cached_property
     def odd_count(self) -> int:

@@ -14,6 +14,11 @@ TruncatedSeries provides formal power series in an auxiliary variable u
 with rational-function coefficients, exact through a caller-chosen order.
 It serves as the coefficient-extraction oracle for the closed forms used by
 the identity proofs (and by the distribution marginals).
+
+``pochhammer``, ``qbinomial_coefficient``, ``terminating_sum``,
+``limit_two_phi_one`` and ``TruncatedSeries`` are generic: given
+``cleared.Cleared`` values (the identity chain's kernel) they compute on
+that kernel, otherwise on RationalFunction exactly as before.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .cleared import Cleared, as_element, csum
 from .rational import RationalFunction, as_rational, q_power, rf_sum
 from .report import VerificationReport
 
@@ -35,13 +41,13 @@ class DegenerateParameters(ValueError):
 
 
 def pochhammer(a, ratio, n: int) -> RationalFunction:
-    """(a; ratio)_n as an exact rational function; n = 0 gives 1."""
+    """(a; ratio)_n as an exact rational function; n = 0 gives 1.  With
+    ``cleared.Cleared`` arguments the product is computed on that kernel."""
     if n < 0:
         raise ValueError("Pochhammer length must be nonnegative")
-    a = as_rational(a)
-    ratio = as_rational(ratio)
-    value = RationalFunction.one()
-    power = RationalFunction.one()
+    a = as_element(a)
+    ratio = as_element(ratio)
+    value = power = type(a).one()
     for _ in range(n):
         value = value * (1 - a * power)
         power = power * ratio
@@ -91,8 +97,9 @@ def terminating_sum(upper, lower, base, z, n: int, twist: int = 0) -> RationalFu
     Each term is the previous one times the term ratio
     prod_i (1 - a_i p^{k-1}) z ((-1) p^{k-1})^twist
     / ((1 - p^k) prod_j (1 - b_j p^{k-1})), using only field operations,
-    so the parameters may be Fractions or RationalFunctions.  A zero base
-    with n > 0, or a denominator factor that vanishes at some k <= n, raises
+    so the parameters may be Fractions, RationalFunctions or ``Cleared``
+    values (summed by ``cleared.csum``).  A zero base with n > 0, or a
+    denominator factor that vanishes at some k <= n, raises
     DegenerateParameters.
     """
     if n > 0 and not base:
@@ -114,7 +121,7 @@ def terminating_sum(upper, lower, base, z, n: int, twist: int = 0) -> RationalFu
         term = term * num / den
         terms.append(term)
         power = power * base
-    return rf_sum(terms)
+    return csum(terms) if isinstance(terms[0], Cleared) else rf_sum(terms)
 
 
 def _terminator(base, n: int):
@@ -191,7 +198,7 @@ def limit_two_phi_one(n: int, c, qbase, z) -> RationalFunction:
         sum_{k=0}^{n} (q^{-n};q)_k (-1)^k q^{binom(k,2)} z^k
                       / ((q;q)_k (c;q)_k).
     """
-    c, qbase, z = as_rational(c), as_rational(qbase), as_rational(z)
+    c, qbase, z = as_element(c), as_element(qbase), as_element(z)
     return terminating_sum((_terminator(qbase, n),), (c,), qbase, z, n, twist=1)
 
 
@@ -223,7 +230,7 @@ def qbinomial_coefficient(k: int, s: int, qbase) -> RationalFunction:
     """Coefficient of z^s in the series expansion of 1/(z; qbase)_k,
     in closed form: (qbase^k; qbase)_s / (qbase; qbase)_s.
     """
-    qbase = as_rational(qbase)
+    qbase = as_element(qbase)
     den = pochhammer(qbase, qbase, s)
     if den.is_zero:
         raise DegenerateParameters(f"(q;q)_{s} vanishes")
@@ -246,10 +253,15 @@ def coeff_u_lemma(k: int, m: int) -> RationalFunction:
 # Truncated formal power series in the auxiliary variable u
 # ---------------------------------------------------------------------------
 
+_ELEMENTS = (RationalFunction, Cleared)
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Power series in u with RationalFunction coefficients, exact through
-    u^order; products truncate above the order."""
+    u^order; products truncate above the order.  ``cleared.Cleared``
+    coefficients are kept as they are, and a series whose coefficients are
+    all Cleared computes on that kernel."""
 
     order: int
     coeffs: tuple
@@ -257,21 +269,25 @@ class TruncatedSeries:
     def __post_init__(self):
         if self.order < 0:
             raise ValueError("order must be nonnegative")
-        coeffs = tuple(as_rational(c) for c in self.coeffs)
+        coeffs = tuple(
+            c if isinstance(c, _ELEMENTS) else as_rational(c) for c in self.coeffs
+        )
         if len(coeffs) != self.order + 1:
             raise ValueError("coefficient count must equal order + 1")
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def constant(cls, value, order: int) -> "TruncatedSeries":
-        coeffs = [as_rational(value)] + [RationalFunction.zero()] * order
+        value = as_element(value)
+        coeffs = [value] + [type(value).zero()] * order
         return cls(order, tuple(coeffs))
 
     @classmethod
     def monomial(cls, power: int, order: int, coeff=1) -> "TruncatedSeries":
-        coeffs = [RationalFunction.zero()] * (order + 1)
+        coeff = as_element(coeff)
+        coeffs = [type(coeff).zero()] * (order + 1)
         if 0 <= power <= order:
-            coeffs[power] = as_rational(coeff)
+            coeffs[power] = coeff
         return cls(order, tuple(coeffs))
 
     def coefficient(self, j: int) -> RationalFunction:
@@ -300,7 +316,7 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_order(other)
-        out = [RationalFunction.zero()] * (self.order + 1)
+        out = [type(self.coeffs[0]).zero()] * (self.order + 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero:
                 continue
@@ -311,7 +327,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.order, tuple(out))
 
     def scale(self, value) -> "TruncatedSeries":
-        value = as_rational(value)
+        value = as_element(value)
         return TruncatedSeries(self.order, tuple(value * a for a in self.coeffs))
 
     def reciprocal(self) -> "TruncatedSeries":
@@ -320,9 +336,10 @@ class TruncatedSeries:
         if c0.is_zero:
             raise ZeroDivisionError("series with zero constant term has no inverse")
         inv0 = c0.reciprocal()
-        out = [inv0] + [RationalFunction.zero()] * self.order
+        zero = type(c0).zero()
+        out = [inv0] + [zero] * self.order
         for n in range(1, self.order + 1):
-            acc = RationalFunction.zero()
+            acc = zero
             for i in range(1, n + 1):
                 fi = self.coeffs[i]
                 if not fi.is_zero:
@@ -349,12 +366,13 @@ def pochhammer_series(a, ratio, k: int, order: int, step: int = 1) -> TruncatedS
     """prod_{j=0}^{k-1} (1 - u^step * a * ratio^j) as a truncated series."""
     if step < 1:
         raise ValueError("step must be positive")
-    a = as_rational(a)
-    ratio = as_rational(ratio)
-    out = TruncatedSeries.constant(1, order)
+    a = as_element(a)
+    ratio = as_element(ratio)
+    one = type(a).one()
+    out = TruncatedSeries.constant(one, order)
     coef = a
     for _ in range(k):
-        factor = TruncatedSeries.constant(1, order) - TruncatedSeries.monomial(
+        factor = TruncatedSeries.constant(one, order) - TruncatedSeries.monomial(
             step, order, coef
         )
         out = out * factor

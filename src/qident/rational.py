@@ -496,6 +496,10 @@ def _coerce(value):
         return value
     if isinstance(value, (int, Fraction, Polynomial)):
         return RationalFunction(_as_poly(value))
+    # a value of another representation of Q(q), e.g. cleared.Cleared
+    to_rational = getattr(value, "to_rational", None)
+    if to_rational is not None:
+        return to_rational()
     return NotImplemented
 
 

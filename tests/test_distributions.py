@@ -49,6 +49,28 @@ def test_with_tolerance_picks_minimal_cutoff(params):
     assert smaller.tail_bound > TOL
 
 
+def _tail(q, u, cutoff):
+    return u**2 * q ** (1 - 2 * cutoff) / (q**2 - 1)
+
+
+def test_with_tolerance_near_one_is_minimal():
+    """q -> 1 makes the cutoff large (12783 here); the search must still
+    return the minimal one instead of stepping through every cutoff."""
+    q, tol = Fraction(1001, 1000), Fraction(1, 10**9)
+    cutoff = MeasureParams.with_tolerance(q, HALF, tol).product_cutoff
+    assert _tail(q, HALF, cutoff) <= tol < _tail(q, HALF, cutoff - 1)
+
+
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(6, 5), Fraction(11, 10), Fraction(100)])
+@pytest.mark.parametrize("u", [Fraction(1, 100), HALF, Fraction(99, 100)])
+@pytest.mark.parametrize("tol", [Fraction(1, 10**30), TOL, HALF, Fraction(10)])
+def test_with_tolerance_matches_linear_search(q, u, tol):
+    cutoff = 0
+    while _tail(q, u, cutoff) > tol:
+        cutoff += 1
+    assert MeasureParams.with_tolerance(q, u, tol).product_cutoff == cutoff
+
+
 def test_prob_zero_off_constraint(params):
     pv = prob(Partition((3, 1)), Family.SP, params)
     assert pv.value == 0

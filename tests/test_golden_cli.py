@@ -2,7 +2,10 @@
 
 The first four digests were recorded before coefficients were stored as
 ``int`` where integral, the rest before the 2phi1 sums moved onto one
-term-ratio engine and the checks onto one registry.  Any change to
+term-ratio engine and the checks onto one registry.  The ``FAILING``
+digests, of a deliberately broken check, were recorded before the identity
+chain moved onto the cleared-denominator kernel (``qident.cleared``), so
+they pin the counterexample strings a failing check prints.  Any change to
 arithmetic, canonical forms or serialization that alters a single output
 byte fails here.
 """
@@ -11,7 +14,8 @@ import hashlib
 
 import pytest
 
-from qident import cli
+from qident import cli, identities
+from qident.rational import q_power
 
 GOLDEN = {
     "verify all --m-max 8": "8f37bf2d953b349410bab11fba1ab80909fd8dbd55e7407d21fa91832cd624ac",
@@ -63,3 +67,32 @@ def test_golden_stdout(capsys, monkeypatch, invocation):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[invocation]
+
+
+#: Wrong right sides for ANZ1: lhs + 1 (as in tests/test_cli.py; the first
+#: failure is at m = 0) and lhs + m q^{-m} (first failure at m = 1, where
+#: both sides print as nonconstant rational functions).
+BROKEN_RHS = {
+    "plus-one": lambda m: identities.lhs_anz1(m) + 1,
+    "plus-m-over-q^m": lambda m: identities.lhs_anz1(m) + m * q_power(-m),
+}
+
+FAILING = {
+    ("plus-one", "json"): "806bcbee733112d409cc1f8f66203e039dd051c5197079bba192b797976aeb35",
+    ("plus-one", "text"): "45a53908cbc015c58b7c1d437b34c33594b82e9d9ed30f4dcaeab64699918cfa",
+    ("plus-m-over-q^m", "json"): (
+        "ddf96247159cf270dcf0135a8aeb1957e5661afa7c3a17948f2f1b4b498ebc18"
+    ),
+    ("plus-m-over-q^m", "text"): (
+        "6bba6dc9604ce7671dcb98d6fa9263a25cb9743a78efe458ccdedcd4a3834bfa"
+    ),
+}
+
+
+@pytest.mark.parametrize("broken, fmt", sorted(FAILING))
+def test_golden_failure_stdout(capsys, monkeypatch, broken, fmt):
+    monkeypatch.setattr(identities, "rhs_anz1", BROKEN_RHS[broken])
+    code = cli.main(["verify", "anz1", "--m-max", "2", "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILING[broken, fmt]
