@@ -31,17 +31,18 @@ Mixed arithmetic with a RationalFunction, a Fraction or a Polynomial falls
 back to the canonical RationalFunction (``to_rational``); ints stay in the
 kernel.  ``str`` is the canonical RationalFunction string and ``evaluate``
 is exact, so reports and numeric replays read the same as on
-RationalFunction.  Only ``identities`` computes on this type; the
-hypergeometric sweeps, the distribution series and the sampler stay on
-RationalFunction, and so do ``partitions.summand_weight`` and
-``qseries.coeff_u_lemma``.
+RationalFunction.  Only ``identities`` computes on this type, partly
+through the ``qseries`` engine, which computes in the field of its
+arguments; the hypergeometric sweeps compute on Fraction, and the
+distribution series, the sampler, ``partitions.summand_weight`` and
+``qseries.coeff_u_lemma`` on RationalFunction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .rational import Polynomial, RationalFunction, as_rational, rf_sum
+from .rational import Polynomial, RationalFunction
 
 _RATIONAL = (RationalFunction, Fraction, Polynomial)
 
@@ -204,18 +205,6 @@ class Cleared:
         self = cls.__new__(cls)
         self.shift, self.num, self.exps = shift, num, exps
         return self
-
-    @classmethod
-    def zero(cls) -> "Cleared":
-        return ZERO
-
-    @classmethod
-    def one(cls) -> "Cleared":
-        return ONE
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.num
 
     def __bool__(self):
         return bool(self.num)
@@ -386,15 +375,10 @@ def pochhammer_inv_q2(n: int) -> Cleared:
 
 def csum(terms):
     """Sum kernel values and ints in one pass (an empty sum is the kernel's
-    zero); if any term is a RationalFunction or a Fraction, the whole sum
-    goes to rational.rf_sum instead."""
+    zero); if any term is something else, such as a RationalFunction or a
+    Fraction, the terms are added with ``sum`` instead."""
     terms = list(terms)
     lifted = [_lift(t) for t in terms]
     if any(t is None for t in lifted):
-        return rf_sum(terms)
+        return sum(terms)
     return _sum(lifted)
-
-
-def as_element(value):
-    """A kernel value as it is; anything else coerced into Q(q)."""
-    return value if isinstance(value, Cleared) else as_rational(value)

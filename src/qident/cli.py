@@ -22,12 +22,6 @@ from .partitions import ParityConstraint, enumerate_partitions, summand_weight
 from .qseries import DEFAULT_SEED, random_hypergeometric_reports
 from .report import VerificationReport
 
-_CONSTRAINTS = {
-    "none": ParityConstraint.NONE,
-    "odd-even-mult": ParityConstraint.ODD_PARTS_EVEN_MULTIPLICITY,
-    "even-even-mult": ParityConstraint.EVEN_PARTS_EVEN_MULTIPLICITY,
-}
-
 VERIFY_SELECTORS = (
     *identities.SELECTORS, "qseries", "marginals", "normalization", "all"
 )
@@ -81,7 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     parts = sub.add_parser("partitions", help="enumerate constrained partitions")
     parts.add_argument("--n", type=int, required=True)
-    parts.add_argument("--constraint", choices=sorted(_CONSTRAINTS), default="none")
+    parts.add_argument(
+        "--constraint", choices=sorted(c.value for c in ParityConstraint), default="none"
+    )
     parts.add_argument("--weights", choices=("none", "sp", "o"), default="none")
     parts.add_argument("--format", choices=("json", "text"), default="json")
     parts.set_defaults(func=cmd_partitions)
@@ -149,8 +145,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_partitions(args) -> int:
-    constraint = _CONSTRAINTS[args.constraint]
-    sign = {"sp": +1, "o": -1}.get(args.weights)
+    constraint = ParityConstraint(args.constraint)
+    sign = None if args.weights == "none" else Family(args.weights).sign
     for p in enumerate_partitions(args.n, constraint):
         weight = summand_weight(p, sign) if sign is not None else None
         if args.format == "json":
@@ -176,21 +172,23 @@ def _measure_params(args) -> MeasureParams:
 def cmd_dist_eval(args) -> int:
     family = Family(args.family)
     params = _measure_params(args)
+    support, weights = distributions.support_weights(family, params, args.max_size)
+    prefactor = distributions.truncated_prefactor(family, params)
+    tail_bound = str(params.tail_bound)
     total = Fraction(0)
-    for n in range(args.max_size + 1):
-        for p in enumerate_partitions(n, family.constraint):
-            pv = distributions.prob(p, family, params)
-            total += pv.value
-            if args.format == "json":
-                _emit(
-                    {
-                        "partition": p.to_json(),
-                        "probability": str(pv.value),
-                        "tail_bound": str(pv.tail_bound),
-                    }
-                )
-            else:
-                print(f"{p.to_json()}  p={float(pv.value):.6g} ({pv.value})")
+    for p, weight in zip(support, weights):
+        value = prefactor * weight
+        total += value
+        if args.format == "json":
+            _emit(
+                {
+                    "partition": p.to_json(),
+                    "probability": str(value),
+                    "tail_bound": tail_bound,
+                }
+            )
+        else:
+            print(f"{p.to_json()}  p={float(value):.6g} ({value})")
     bound = distributions.truncated_mass_bound(params, total)
     summary = {
         "support_probability": str(total),

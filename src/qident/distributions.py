@@ -48,6 +48,11 @@ class Family(Enum):
         return +1 if self is Family.SP else -1
 
 
+def _tail_bound(q: Fraction, u: Fraction, cutoff: int) -> Fraction:
+    """sum_{i > cutoff} u^2 / q^{2i-1}, in closed form (a geometric series)."""
+    return u**2 * q ** (1 - 2 * cutoff) / (q**2 - 1)
+
+
 @dataclass(frozen=True)
 class MeasureParams:
     """Numeric evaluation parameters: the point (q, u) and the cutoff I of
@@ -80,7 +85,7 @@ class MeasureParams:
     def tail_bound(self) -> Fraction:
         """Upper bound on sum_{i > cutoff} u^2 / q^{2i-1}; the truncated
         product exceeds the infinite one by at most this relative amount."""
-        return self.u**2 * self.q ** (1 - 2 * self.product_cutoff) / (self.q**2 - 1)
+        return _tail_bound(self.q, self.u, self.product_cutoff)
 
     @classmethod
     def with_tolerance(cls, q, u, tolerance) -> "MeasureParams":
@@ -95,7 +100,7 @@ class MeasureParams:
             raise ValueError("need q > 1, 0 < u < 1 and a positive tolerance")
 
         def too_loose(cutoff: int) -> bool:
-            return u**2 * q ** (1 - 2 * cutoff) / (q**2 - 1) > tolerance
+            return _tail_bound(q, u, cutoff) > tolerance
 
         low, high = -1, 0  # too_loose(low) holds (vacuously at -1)
         while too_loose(high):
@@ -163,7 +168,7 @@ def marginal_series(family: Family, parity: str, k: int, order: int) -> Truncate
     if k == 0:
         if parity == "odd":
             raise ValueError("the odd-column index starts at k = 1")
-        return TruncatedSeries.constant(1, order)
+        return TruncatedSeries.constant(RationalFunction.one(), order)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if family is Family.SP:
@@ -246,7 +251,8 @@ def normalization_check(family: Family, order: int) -> VerificationReport:
     report = VerificationReport(
         f"normalization-{family.value}", params={"order": order}
     )
-    total = TruncatedSeries.constant(1, order)  # empty-partition class
+    one = RationalFunction.one()
+    total = TruncatedSeries.constant(one, order)  # empty-partition class
     for k in range(1, order + 1):
         even_lead = 2 * k
         odd_lead = 2 * k if family is Family.SP else 2 * k - 1
@@ -258,12 +264,11 @@ def normalization_check(family: Family, order: int) -> VerificationReport:
             total = total + marginal_series(family, "odd", k, order)
     prefactor = prefactor_series(order)
     if family is Family.O:
-        one_plus_u = TruncatedSeries.constant(1, order) + TruncatedSeries.monomial(
+        one_plus_u = TruncatedSeries.constant(one, order) + TruncatedSeries.monomial(
             1, order
         )
         prefactor = prefactor * one_plus_u.reciprocal()
     product = total * prefactor
-    one = RationalFunction.one()
     zero = RationalFunction.zero()
     for j in range(order + 1):
         report.record(
@@ -276,7 +281,7 @@ def normalization_check(family: Family, order: int) -> VerificationReport:
 # Truncated-support sampling
 # ---------------------------------------------------------------------------
 
-def _support_weights(
+def support_weights(
     family: Family, params: MeasureParams, max_size: int
 ) -> tuple[list[Partition], list[Fraction]]:
     """Unnormalized weights u^size * coefficient(q) over the truncated
@@ -298,7 +303,7 @@ def truncated_distribution(
 ) -> list[tuple[Partition, Fraction]]:
     """The measure renormalized to partitions of size <= max_size, as exact
     rationals (the normalizing product cancels in the renormalization)."""
-    support, weights = _support_weights(family, params, max_size)
+    support, weights = support_weights(family, params, max_size)
     total = sum(weights)
     if total <= 0:
         raise ValueError("truncated support has no mass")
@@ -358,7 +363,7 @@ def sample(
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    support, weights = _support_weights(family, params, max_size)
+    support, weights = support_weights(family, params, max_size)
     total = sum(weights)
     if total <= 0:
         raise ValueError("truncated support has no mass")

@@ -33,10 +33,11 @@ lists over one common denominator.  The hypergeometric rewrites reach the
 kernel through the generic ``qseries.pochhammer`` and
 ``qseries.terminating_sum``, and ``term_d`` through ``TruncatedSeries``.
 The values interoperate with ``RationalFunction`` (``to_rational``, ``str``
-and ``evaluate`` are the canonical ones).  The 2phi1 sweeps, the series and
-distributions, ``qseries.coeff_u_lemma`` and ``partitions.summand_weight``
-(the weights the CLI prints) stay on ``RationalFunction``; ``coeff_u_lemma``
-and ``summand_weight`` here are their kernel counterparts.
+and ``evaluate`` are the canonical ones).  The 2phi1 sweeps compute on
+``Fraction``; the series and distributions, ``qseries.coeff_u_lemma`` and
+``partitions.summand_weight`` (the weights the CLI prints) stay on
+``RationalFunction``; ``coeff_u_lemma`` and ``summand_weight`` here are
+their kernel counterparts.
 """
 
 from __future__ import annotations

@@ -4,21 +4,27 @@ The Pochhammer convention throughout is
 
     (a; r)_n = (1 - a)(1 - a r) ... (1 - a r^{n-1}),    (a; r)_0 = 1,
 
-with a and r arbitrary elements of Q(q), not just monomials.  The
+with a and r arbitrary field elements, not just monomials of Q(q).  The
 terminating 2phi1 and its evaluation/transformation identities are checked
 by computing both displayed sides independently in exact arithmetic; every
 terminating sum on either side is built by the one term-ratio engine
 ``terminating_sum``.
 
 TruncatedSeries provides formal power series in an auxiliary variable u
-with rational-function coefficients, exact through a caller-chosen order.
-It serves as the coefficient-extraction oracle for the closed forms used by
-the identity proofs (and by the distribution marginals).
+with field coefficients, exact through a caller-chosen order.  It serves
+as the coefficient-extraction oracle for the closed forms used by the
+identity proofs (and by the distribution marginals).
 
-``pochhammer``, ``qbinomial_coefficient``, ``terminating_sum``,
-``limit_two_phi_one`` and ``TruncatedSeries`` are generic: given
-``cleared.Cleared`` values (the identity chain's kernel) they compute on
-that kernel, otherwise on RationalFunction exactly as before.
+Representation: the engine -- ``pochhammer``, ``terminating_sum``, the
+2phi1 sums and checks, ``qbinomial_coefficient``, ``TruncatedSeries`` and
+``pochhammer_series`` -- computes in the field of its arguments, with field
+operations and truthiness only.  ``as_element`` is the one coercion rule at
+its boundary: a ``cleared.Cleared`` (the identity chain's kernel), a
+RationalFunction or a Fraction stays as it is, an int becomes a Fraction,
+and anything else goes into Q(q).  So the randomized 2phi1 sweeps, which
+draw rational parameters, compute on Fraction; the identity chain computes
+on its kernel; and the distribution series, built from RationalFunction
+values, stay in Q(q).
 """
 
 from __future__ import annotations
@@ -28,9 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cleared import Cleared, as_element, csum
-from .rational import RationalFunction, as_rational, q_power, rf_sum
+from .cleared import Cleared, csum
+from .rational import RationalFunction, q_power
 from .report import VerificationReport
+
+#: A field element the engine computes with.
+Element = Cleared | RationalFunction | Fraction
 
 #: Seed used by all randomized parameter sweeps unless the caller overrides it.
 DEFAULT_SEED = 1729
@@ -40,25 +49,38 @@ class DegenerateParameters(ValueError):
     """A parameter tuple makes a required Pochhammer denominator vanish."""
 
 
-def pochhammer(a, ratio, n: int) -> RationalFunction:
-    """(a; ratio)_n as an exact rational function; n = 0 gives 1.  With
-    ``cleared.Cleared`` arguments the product is computed on that kernel."""
+def as_element(value) -> Element:
+    """The field element an argument stands for: a Cleared, RationalFunction
+    or Fraction as it is, an int as a Fraction, anything else in Q(q)."""
+    if isinstance(value, (Cleared, RationalFunction, Fraction)):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    return RationalFunction(value)
+
+
+def pochhammer(a, ratio, n: int) -> Element:
+    """(a; ratio)_n, exactly, in the field of a; n = 0 gives 1."""
     if n < 0:
         raise ValueError("Pochhammer length must be nonnegative")
     a = as_element(a)
     ratio = as_element(ratio)
-    value = power = type(a).one()
+    value = power = a ** 0
     for _ in range(n):
         value = value * (1 - a * power)
         power = power * ratio
     return value
 
 
-@lru_cache(maxsize=None)
+#: lru_cache size of ``pochhammer_inv_q2``: n = 0..127 stay cached.
+_POCHHAMMER_CACHE = 128
+
+
+@lru_cache(maxsize=_POCHHAMMER_CACHE)
 def pochhammer_inv_q2(n: int) -> RationalFunction:
     """(1/q^2; 1/q^2)_n, the product appearing in every partition weight."""
     if n == 0:
-        return RationalFunction.one()
+        return q_power(0)
     return pochhammer_inv_q2(n - 1) * (1 - q_power(-2 * n))
 
 
@@ -66,24 +88,24 @@ def pochhammer_inv_q2(n: int) -> RationalFunction:
 class HypergeometricSpec:
     """Parameters (n, b, c, q, z) of a terminating 2phi1.
 
-    ``q`` here is the series base, itself an element of Q(q); the first
-    upper parameter is always q^{-n}, which is what makes the sum terminate.
+    ``q`` here is the series base, itself a field element; the first upper
+    parameter is always q^{-n}, which is what makes the sum terminate.
     """
 
     n: int
-    b: RationalFunction
-    c: RationalFunction
-    q: RationalFunction
-    z: RationalFunction
+    b: Element
+    c: Element
+    q: Element
+    z: Element
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("termination index must be nonnegative")
         for name in ("b", "c", "q", "z"):
-            object.__setattr__(self, name, as_rational(getattr(self, name)))
+            object.__setattr__(self, name, as_element(getattr(self, name)))
 
 
-def terminating_sum(upper, lower, base, z, n: int, twist: int = 0) -> RationalFunction:
+def terminating_sum(upper, lower, base, z, n: int, twist: int = 0) -> Element:
     """The terminating basic hypergeometric sum
 
         sum_{k=0}^{n} (a_1, ..., a_r; p)_k / ((p; p)_k (b_1, ..., b_s; p)_k)
@@ -97,14 +119,13 @@ def terminating_sum(upper, lower, base, z, n: int, twist: int = 0) -> RationalFu
     Each term is the previous one times the term ratio
     prod_i (1 - a_i p^{k-1}) z ((-1) p^{k-1})^twist
     / ((1 - p^k) prod_j (1 - b_j p^{k-1})), using only field operations,
-    so the parameters may be Fractions, RationalFunctions or ``Cleared``
-    values (summed by ``cleared.csum``).  A zero base with n > 0, or a
-    denominator factor that vanishes at some k <= n, raises
-    DegenerateParameters.
+    so the sum is computed in the parameters' field (and added up by
+    ``cleared.csum``).  A zero base with n > 0, or a denominator factor that
+    vanishes at some k <= n, raises DegenerateParameters.
     """
     if n > 0 and not base:
         raise DegenerateParameters("series base is zero")
-    term = power = base ** 0  # power is p^{k-1} while term k is built
+    term = power = as_element(base) ** 0  # power is p^{k-1} while term k is built
     terms = [term]
     for k in range(1, n + 1):
         den = 1
@@ -121,7 +142,7 @@ def terminating_sum(upper, lower, base, z, n: int, twist: int = 0) -> RationalFu
         term = term * num / den
         terms.append(term)
         power = power * base
-    return csum(terms) if isinstance(terms[0], Cleared) else rf_sum(terms)
+    return csum(terms)
 
 
 def _terminator(base, n: int):
@@ -143,7 +164,7 @@ def _one_comparison(name: str, params: dict, sides) -> VerificationReport:
     return report
 
 
-def two_phi_one(spec: HypergeometricSpec) -> RationalFunction:
+def two_phi_one(spec: HypergeometricSpec) -> Element:
     """sum_{k=0}^{n} (q^{-n};q)_k (b;q)_k / ((q;q)_k (c;q)_k) z^k."""
     upper = (_terminator(spec.q, spec.n), spec.b)
     return terminating_sum(upper, (spec.c,), spec.q, spec.z, spec.n)
@@ -153,13 +174,13 @@ def qchu_check(n: int, b, c, qbase) -> VerificationReport:
     """Evaluation of the terminating 2phi1 at argument z = c q^n / b:
     both sides of 2phi1(q^{-n}, b; c; q, c q^n / b) = (c/b;q)_n / (c;q)_n.
     """
-    b, c, qbase = as_rational(b), as_rational(c), as_rational(qbase)
+    b, c, qbase = as_element(b), as_element(c), as_element(qbase)
 
     def sides():
-        if b.is_zero:
+        if not b:
             raise DegenerateParameters("b = 0")
         denom = pochhammer(c, qbase, n)
-        if denom.is_zero:
+        if not denom:
             raise DegenerateParameters(f"(c;q)_{n} vanishes")
         z = c * qbase ** n / b
         lhs = two_phi_one(HypergeometricSpec(n, b, c, qbase, z))
@@ -177,10 +198,10 @@ def transform_check(spec: HypergeometricSpec) -> VerificationReport:
 
     def sides():
         lhs = two_phi_one(spec)
-        if b.is_zero or c.is_zero:
+        if not b or not c:
             raise DegenerateParameters("b or c is zero")
         poch_c_n = pochhammer(c, base, n)
-        if poch_c_n.is_zero:
+        if not poch_c_n:
             raise DegenerateParameters(f"(c;q)_{n} vanishes")
         prefactor = pochhammer(c / b, base, n) / poch_c_n
         a = _terminator(base, n)
@@ -192,7 +213,7 @@ def transform_check(spec: HypergeometricSpec) -> VerificationReport:
     return _one_comparison("transform", params, sides)
 
 
-def limit_two_phi_one(n: int, c, qbase, z) -> RationalFunction:
+def limit_two_phi_one(n: int, c, qbase, z) -> Element:
     """The large-b limit of 2phi1(q^{-n}, b; c; q, z/b), by its exact terms:
 
         sum_{k=0}^{n} (q^{-n};q)_k (-1)^k q^{binom(k,2)} z^k
@@ -209,14 +230,14 @@ def limit_transform_check(n: int, c, qbase, z) -> VerificationReport:
             = 1/(c;q)_n * sum_k (q^{-n};q)_k (z q^{-n}/c;q)_k / (q;q)_k
                                 * (c q^n)^k.
     """
-    c, qbase, z = as_rational(c), as_rational(qbase), as_rational(z)
+    c, qbase, z = as_element(c), as_element(qbase), as_element(z)
 
     def sides():
         lhs = limit_two_phi_one(n, c, qbase, z)
-        if c.is_zero:
+        if not c:
             raise DegenerateParameters("c = 0")
         poch_c_n = pochhammer(c, qbase, n)
-        if poch_c_n.is_zero:
+        if not poch_c_n:
             raise DegenerateParameters(f"(c;q)_{n} vanishes")
         a = _terminator(qbase, n)
         upper = (a, z * a / c)
@@ -226,13 +247,13 @@ def limit_transform_check(n: int, c, qbase, z) -> VerificationReport:
     return _one_comparison("limit-transform", params, sides)
 
 
-def qbinomial_coefficient(k: int, s: int, qbase) -> RationalFunction:
+def qbinomial_coefficient(k: int, s: int, qbase) -> Element:
     """Coefficient of z^s in the series expansion of 1/(z; qbase)_k,
     in closed form: (qbase^k; qbase)_s / (qbase; qbase)_s.
     """
     qbase = as_element(qbase)
     den = pochhammer(qbase, qbase, s)
-    if den.is_zero:
+    if not den:
         raise DegenerateParameters(f"(q;q)_{s} vanishes")
     return pochhammer(qbase ** k, qbase, s) / den
 
@@ -253,15 +274,10 @@ def coeff_u_lemma(k: int, m: int) -> RationalFunction:
 # Truncated formal power series in the auxiliary variable u
 # ---------------------------------------------------------------------------
 
-_ELEMENTS = (RationalFunction, Cleared)
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Power series in u with RationalFunction coefficients, exact through
-    u^order; products truncate above the order.  ``cleared.Cleared``
-    coefficients are kept as they are, and a series whose coefficients are
-    all Cleared computes on that kernel."""
+    """Power series in u with field coefficients (``as_element``), exact
+    through u^order; products truncate above the order."""
 
     order: int
     coeffs: tuple
@@ -269,9 +285,7 @@ class TruncatedSeries:
     def __post_init__(self):
         if self.order < 0:
             raise ValueError("order must be nonnegative")
-        coeffs = tuple(
-            c if isinstance(c, _ELEMENTS) else as_rational(c) for c in self.coeffs
-        )
+        coeffs = tuple(as_element(c) for c in self.coeffs)
         if len(coeffs) != self.order + 1:
             raise ValueError("coefficient count must equal order + 1")
         object.__setattr__(self, "coeffs", coeffs)
@@ -279,18 +293,17 @@ class TruncatedSeries:
     @classmethod
     def constant(cls, value, order: int) -> "TruncatedSeries":
         value = as_element(value)
-        coeffs = [value] + [type(value).zero()] * order
-        return cls(order, tuple(coeffs))
+        return cls(order, (value,) + (value * 0,) * order)
 
     @classmethod
     def monomial(cls, power: int, order: int, coeff=1) -> "TruncatedSeries":
         coeff = as_element(coeff)
-        coeffs = [type(coeff).zero()] * (order + 1)
+        coeffs = [coeff * 0] * (order + 1)
         if 0 <= power <= order:
             coeffs[power] = coeff
         return cls(order, tuple(coeffs))
 
-    def coefficient(self, j: int) -> RationalFunction:
+    def coefficient(self, j: int) -> Element:
         if j < 0 or j > self.order:
             raise IndexError(f"coefficient u^{j} beyond truncation order {self.order}")
         return self.coeffs[j]
@@ -316,33 +329,29 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_order(other)
-        out = [type(self.coeffs[0]).zero()] * (self.order + 1)
+        out = [self.coeffs[0] * other.coeffs[0] * 0] * (self.order + 1)
         for i, a in enumerate(self.coeffs):
-            if a.is_zero:
+            if not a:
                 continue
             for j in range(self.order + 1 - i):
                 b = other.coeffs[j]
-                if not b.is_zero:
+                if b:
                     out[i + j] = out[i + j] + a * b
         return TruncatedSeries(self.order, tuple(out))
-
-    def scale(self, value) -> "TruncatedSeries":
-        value = as_element(value)
-        return TruncatedSeries(self.order, tuple(value * a for a in self.coeffs))
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires an invertible constant term."""
         c0 = self.coeffs[0]
-        if c0.is_zero:
+        if not c0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv0 = c0.reciprocal()
-        zero = type(c0).zero()
+        inv0 = 1 / c0
+        zero = c0 * 0
         out = [inv0] + [zero] * self.order
         for n in range(1, self.order + 1):
             acc = zero
             for i in range(1, n + 1):
                 fi = self.coeffs[i]
-                if not fi.is_zero:
+                if fi:
                     acc = acc + fi * out[n - i]
             out[n] = -inv0 * acc
         return TruncatedSeries(self.order, tuple(out))
@@ -355,7 +364,7 @@ class TruncatedSeries:
     def __str__(self):
         parts = []
         for j, c in enumerate(self.coeffs):
-            if c.is_zero:
+            if not c:
                 continue
             head = "1" if j == 0 else ("u" if j == 1 else f"u^{j}")
             parts.append(f"({c})*{head}" if j else f"{c}")
@@ -368,14 +377,10 @@ def pochhammer_series(a, ratio, k: int, order: int, step: int = 1) -> TruncatedS
         raise ValueError("step must be positive")
     a = as_element(a)
     ratio = as_element(ratio)
-    one = type(a).one()
-    out = TruncatedSeries.constant(one, order)
+    out = one = TruncatedSeries.constant(a ** 0, order)
     coef = a
     for _ in range(k):
-        factor = TruncatedSeries.constant(one, order) - TruncatedSeries.monomial(
-            step, order, coef
-        )
-        out = out * factor
+        out = out * (one - TruncatedSeries.monomial(step, order, coef))
         coef = coef * ratio
     return out
 
@@ -384,7 +389,7 @@ def reciprocal_pochhammer_series(
     a, ratio, k: int, order: int, step: int = 1
 ) -> TruncatedSeries:
     """prod_{j=0}^{k-1} 1/(1 - u^step * a * ratio^j), exact through u^order."""
-    return pochhammer_series(a, ratio, k, order, step).reciprocal()
+    return TruncatedSeries.reciprocal(pochhammer_series(a, ratio, k, order, step))
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +444,10 @@ def random_hypergeometric_reports(
     def draw_transform(n, rng):
         spec = HypergeometricSpec(
             n,
-            as_rational(random_fraction(rng, nonzero=True)),
-            as_rational(random_fraction(rng, nonzero=True)),
-            as_rational(random_fraction(rng, nonzero=True)),
-            as_rational(random_fraction(rng)),
+            random_fraction(rng, nonzero=True),
+            random_fraction(rng, nonzero=True),
+            random_fraction(rng, nonzero=True),
+            random_fraction(rng),
         )
         return transform_check(spec)
 

@@ -419,3 +419,22 @@ def test_kernel_pochhammer_matches_qseries():
         kernel = pochhammer(cleared.q_power(3), cleared.q_power(-2), n)
         assert isinstance(kernel, Cleared)
         assert kernel.to_rational() == pochhammer(q_power(3), q_power(-2), n)
+
+
+def test_every_cache_in_every_module_is_bounded():
+    import importlib
+    import pkgutil
+
+    import qident
+
+    caches = {}
+    for info in pkgutil.iter_modules(qident.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"qident.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters"):
+                caches[f"{module.__name__}.{name}"] = value
+    assert "qident.qseries.pochhammer_inv_q2" in caches
+    for name, cache in caches.items():
+        assert cache.cache_parameters()["maxsize"] is not None, name

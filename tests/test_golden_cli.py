@@ -5,16 +5,19 @@ The first four digests were recorded before coefficients were stored as
 term-ratio engine and the checks onto one registry.  The ``FAILING``
 digests, of a deliberately broken check, were recorded before the identity
 chain moved onto the cleared-denominator kernel (``qident.cleared``), so
-they pin the counterexample strings a failing check prints.  Any change to
-arithmetic, canonical forms or serialization that alters a single output
-byte fails here.
+they pin the counterexample strings a failing check prints.  The digests
+from the two ``verify qseries`` runs at seeds 13 and 11 on, and the
+``SWEEP_FAILING`` ones, were recorded while the 2phi1 sweeps still computed
+in Q(q), before they moved onto Fraction.  Any change to arithmetic,
+canonical forms or serialization that alters a single output byte fails
+here.
 """
 
 import hashlib
 
 import pytest
 
-from qident import cli, identities
+from qident import cli, identities, qseries
 from qident.rational import q_power
 
 GOLDEN = {
@@ -57,6 +60,24 @@ GOLDEN = {
     "dist eval --family o --q 6/5 --u 1/2 --max-size 6": (
         "63384ffc6623c8dadf007e71abe8e0178eadf49516fb9536a0208abda46c7098"
     ),
+    "verify qseries --seed 13 --qseries-n-max 8 --tuples-per-n 40": (
+        "6d57fd94fa64d6097cd92958447ac4b717dbf654841e5bc940f73e4c1dffb122"
+    ),
+    "verify qseries --seed 11 --format text": (
+        "dbc86ff2acddff4cb3664b9947908c1e7411cb1c4a61185e570e1e126c5180aa"
+    ),
+    "verify marginals --k-max 4 --order 18": (
+        "9fa8825b91243fe2007841bd9e2bf097ca0b3014e23f3db690e423d6a78f93c0"
+    ),
+    "verify normalization --order 18": (
+        "260614762e9682a76445d6d15de28830d64ad4e98526cccb4fd25cecbefdd25c"
+    ),
+    "partitions --n 7 --weights o --format text": (
+        "ee6c85a2812a3be1fed18f6a7ea57799d56ce1f2a942e76735bd3ede443ec7be"
+    ),
+    "dist eval --family o --q 6/5 --u 1/2 --max-size 10": (
+        "e71765040285f63650cec41dfcf6b2ec57d01ebadd5d337d2a3c2f55fe0dfb2b"
+    ),
 }
 
 
@@ -96,3 +117,22 @@ def test_golden_failure_stdout(capsys, monkeypatch, broken, fmt):
     out = capsys.readouterr().out
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == FAILING[broken, fmt]
+
+
+#: A 2phi1 sweep with one side broken: the direct sum plus n, so the qchu
+#: and transform sweeps first fail at n = 1 and limit-transform passes.
+SWEEP_FAILING = {
+    "json": "c505d442073dc8c2bd6166559279df5a8be846ef62f5a4e2cd13039237af0da8",
+    "text": "6dbd9cc121353685ee276badf5e3f5b1870b74802e0f8a84d7610a6c042d08bd",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SWEEP_FAILING))
+def test_golden_sweep_failure_stdout(capsys, monkeypatch, fmt):
+    direct = qseries.two_phi_one
+    monkeypatch.setattr(qseries, "two_phi_one", lambda spec: direct(spec) + spec.n)
+    argv = "verify qseries --seed 11 --qseries-n-max 3 --tuples-per-n 5 --format"
+    code = cli.main([*argv.split(), fmt])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_FAILING[fmt]

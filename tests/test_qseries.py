@@ -321,3 +321,60 @@ def test_terminating_sum_refuses_vanishing_lower_factor(lower, base, n):
         terminating_sum((Fraction(1, 3),), lower, base, Fraction(1, 5), n)
     # the same parameters one step short of the vanishing factor are fine
     terminating_sum((Fraction(1, 3),), lower, base, Fraction(1, 5), n - 1)
+
+
+# --- the sweeps compute in the field of their parameters ---------------------
+
+#: (checked, skipped) per sweep at n_max = 8, 40 tuples per n, seed 13, as
+#: recorded while the sweeps still computed in Q(q).
+SWEEP_COUNTS_SEED_13 = {
+    "qchu": (360, 57),
+    "transform": (360, 47),
+    "limit-transform": (360, 52),
+}
+
+
+def test_sweeps_run_without_rational_functions(monkeypatch):
+    from qident import rational
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the 2phi1 sweeps reached Q(q) arithmetic")
+
+    monkeypatch.setattr(rational, "poly_gcd", refuse)
+    monkeypatch.setattr(rational, "rf_sum", refuse)
+    monkeypatch.setattr(rational.Polynomial, "__mul__", refuse)
+    reports = random_hypergeometric_reports(n_max=8, tuples_per_n=40, seed=13)
+    counts = {r.identity: (r.n_checked, r.n_skipped) for r in reports}
+    assert counts == SWEEP_COUNTS_SEED_13
+    for report in reports:
+        assert report.passed
+        for result in report.results:
+            if result.status != "skip":
+                assert type(result.lhs_value) is Fraction
+                assert type(result.rhs_value) is Fraction
+
+
+def _outcome(check, *args):
+    """What a check reports, in the terms the CLI prints: pass, counts,
+    params and counterexample, plus the status of each comparison."""
+    report = check(*args)
+    return report.to_json_dict(), [r.status for r in report.results]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(0, 4),
+    b=small,
+    c=small,
+    base=small.filter(bool),
+    z=small,
+)
+def test_checks_agree_on_fractions_and_constant_rational_functions(n, b, c, base, z):
+    constant = [as_rational(v) for v in (b, c, base, z)]
+    assert _outcome(qchu_check, n, b, c, base) == _outcome(qchu_check, n, *constant[:3])
+    assert _outcome(transform_check, HypergeometricSpec(n, b, c, base, z)) == _outcome(
+        transform_check, HypergeometricSpec(n, *constant)
+    )
+    assert _outcome(limit_transform_check, n, c, base, z) == _outcome(
+        limit_transform_check, n, *constant[1:]
+    )
