@@ -5,9 +5,9 @@ The first four digests were recorded before coefficients were stored as
 term-ratio engine and the checks onto one registry.  The ``FAILING``
 digests, of a deliberately broken check, were recorded before the identity
 chain moved onto the cleared-denominator kernel (``qident.cleared``), so
-they pin the counterexample strings a failing check prints.  The digests
-from the two ``verify qseries`` runs at seeds 13 and 11 on, and the
-``SWEEP_FAILING`` ones, were recorded while the 2phi1 sweeps still computed
+they pin the counterexample strings a failing check prints.  The last six
+``GOLDEN`` digests (from ``verify qseries --seed 13`` on) and the
+``SWEEP_FAILING`` ones were recorded while the 2phi1 sweeps still computed
 in Q(q), before they moved onto Fraction.  Any change to arithmetic,
 canonical forms or serialization that alters a single output byte fails
 here.
