@@ -1,8 +1,9 @@
-"""Integer factored-denominator values for the identity chain.
+"""Integer factored-denominator values for the identity chain and the series.
 
 With x = 1/q, every value on the ANZ1-3 derivation chain -- the
 enumeration sides, the first-column terms and their sums, the closed sums
-and their hypergeometric rewrites -- has the form
+and their hypergeometric rewrites -- and every coefficient of the marginal
+and normalization series has the form
 
     x^s * N(x) * prod_j (1 - x^j)^(-e_j)
 
@@ -31,11 +32,9 @@ Mixed arithmetic with a RationalFunction, a Fraction or a Polynomial falls
 back to the canonical RationalFunction (``to_rational``); ints stay in the
 kernel.  ``str`` is the canonical RationalFunction string and ``evaluate``
 is exact, so reports and numeric replays read the same as on
-RationalFunction.  Only ``identities`` computes on this type, partly
-through the ``qseries`` engine, which computes in the field of its
-arguments; the hypergeometric sweeps compute on Fraction, and the
-distribution series, the sampler, ``partitions.summand_weight`` and
-``qseries.coeff_u_lemma`` on RationalFunction.
+RationalFunction.  ``identities``, ``distributions`` and
+``partitions.kernel_weight`` compute on this type, partly through the
+field-generic ``qseries`` engine; the 2phi1 sweeps compute on Fraction.
 """
 
 from __future__ import annotations

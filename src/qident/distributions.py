@@ -1,14 +1,17 @@
 """Symplectic- and orthogonal-type measures on integer partitions.
 
-Each family weights a partition by u^size times the exact rational-function
-factor from partitions.cl_numerator, normalized by the infinite product
+Each family weights a partition by u^size times the exact unit
+partitions.kernel_weight, normalized by the infinite product
 prod_{i>=1} (1 - u^2/q^{2i-1}) (divided by 1+u for the orthogonal family).
+Every exact value is a ``cleared.Cleared``, so the series below compute on
+the integer kernel with no polynomial gcd.
 
 The infinite product is handled two ways:
 
-* for identity checks it is expanded exactly as a truncated series in u,
-  via power sums and Newton's identities (only finitely many coefficients
-  are needed, and each is a closed rational function of q);
+* for identity checks it is expanded exactly as a truncated series in u by
+  Euler's formula (Andrews, *The Theory of Partitions*, ch. 2), with x = 1/q:
+  prod_{i>=1} (1 - u^2 x^{2i-1}) = sum_j (-1)^j x^{j^2} u^{2j} / (x^2;x^2)_j;
+  only finitely many coefficients are needed, and each is a unit;
 * for numeric probabilities it is truncated to ``product_cutoff`` factors,
   with a certified multiplicative tail bound from the geometric series.
 
@@ -25,9 +28,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .partitions import ParityConstraint, Partition, cl_numerator, enumerate_partitions
-from .qseries import TruncatedSeries, pochhammer_inv_q2, reciprocal_pochhammer_series
-from .rational import RationalFunction, q_power
+from .cleared import ONE, ZERO, csum, pochhammer_inv_q2, q_power
+from .partitions import ParityConstraint, Partition, enumerate_partitions, kernel_weight
+from .qseries import TruncatedSeries, reciprocal_pochhammer_series
 from .report import VerificationReport
 
 
@@ -139,12 +142,8 @@ def prob(partition: Partition, family: Family, params: MeasureParams) -> ProbVal
     """Measure of one partition, exactly 0 if the constraint fails."""
     if not family.constraint.admits(partition):
         return ProbValue(Fraction(0), Fraction(0))
-    coeff, upower = cl_numerator(partition, family.sign)
-    value = (
-        truncated_prefactor(family, params)
-        * params.u**upower
-        * coeff.evaluate(params.q)
-    )
+    coeff = kernel_weight(partition, family.sign).evaluate(params.q)
+    value = truncated_prefactor(family, params) * params.u**partition.size * coeff
     return ProbValue(value, params.tail_bound)
 
 
@@ -168,7 +167,7 @@ def marginal_series(family: Family, parity: str, k: int, order: int) -> Truncate
     if k == 0:
         if parity == "odd":
             raise ValueError("the odd-column index starts at k = 1")
-        return TruncatedSeries.constant(RationalFunction.one(), order)
+        return TruncatedSeries.constant(ONE, order)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if family is Family.SP:
@@ -210,10 +209,9 @@ def marginal_vs_bruteforce(family: Family, k_max: int, order: int) -> Verificati
     for column in range(2 * k_max + 1):
         series = first_column_marginal(family, column, order)
         for j in range(order + 1):
-            brute = RationalFunction.zero()
-            for p in by_size[j]:
-                if p.num_parts == column:
-                    brute = brute + cl_numerator(p, family.sign)[0]
+            brute = csum(
+                kernel_weight(p, family.sign) for p in by_size[j] if p.num_parts == column
+            )
             report.record(
                 {"column": column, "u_power": j}, series.coefficient(j), brute
             )
@@ -223,25 +221,15 @@ def marginal_vs_bruteforce(family: Family, k_max: int, order: int) -> Verificati
 def prefactor_series(order: int) -> TruncatedSeries:
     """Exact expansion of prod_{i>=1} (1 - u^2/q^{2i-1}) through u^order.
 
-    The coefficient of u^{2j} is (-1)^j e_j, where the elementary symmetric
-    functions e_j of the variables u^2/q^{2i-1} follow from their power
-    sums p_t = q^t/(q^{2t}-1) by Newton's identities.  Each coefficient is
-    a closed rational function of q, so the truncation is exact even though
-    every factor of the product contributes at order u^2.
+    By Euler's formula the coefficient of u^{2j} is the unit
+    (-1)^j q^{-j^2} / (1/q^2;1/q^2)_j and every odd power vanishes, so the
+    truncation is exact even though every factor of the product
+    contributes at order u^2.
     """
-    elementary = [RationalFunction.one()]
-    power_sums = {
-        t: q_power(t) / (q_power(2 * t) - 1) for t in range(1, order // 2 + 1)
-    }
-    for j in range(1, order // 2 + 1):
-        acc = RationalFunction.zero()
-        for t in range(1, j + 1):
-            term = elementary[j - t] * power_sums[t]
-            acc = acc + (term if t % 2 else -term)
-        elementary.append(acc / j)
-    coeffs = [RationalFunction.zero()] * (order + 1)
+    coeffs = [ZERO] * (order + 1)
     for j in range(order // 2 + 1):
-        coeffs[2 * j] = elementary[j] if j % 2 == 0 else -elementary[j]
+        term = q_power(-j * j) / pochhammer_inv_q2(j)
+        coeffs[2 * j] = -term if j % 2 else term
     return TruncatedSeries(order, tuple(coeffs))
 
 
@@ -251,8 +239,7 @@ def normalization_check(family: Family, order: int) -> VerificationReport:
     report = VerificationReport(
         f"normalization-{family.value}", params={"order": order}
     )
-    one = RationalFunction.one()
-    total = TruncatedSeries.constant(one, order)  # empty-partition class
+    total = TruncatedSeries.constant(ONE, order)  # empty-partition class
     for k in range(1, order + 1):
         even_lead = 2 * k
         odd_lead = 2 * k if family is Family.SP else 2 * k - 1
@@ -263,17 +250,14 @@ def normalization_check(family: Family, order: int) -> VerificationReport:
         if odd_lead <= order:
             total = total + marginal_series(family, "odd", k, order)
     prefactor = prefactor_series(order)
-    if family is Family.O:
-        one_plus_u = TruncatedSeries.constant(one, order) + TruncatedSeries.monomial(
-            1, order
+    if family is Family.O:  # an explicit ONE: Cleared + Fraction would fall back to Q(q)
+        one_plus_u = TruncatedSeries.constant(ONE, order) + TruncatedSeries.monomial(
+            1, order, ONE
         )
         prefactor = prefactor * one_plus_u.reciprocal()
     product = total * prefactor
-    zero = RationalFunction.zero()
     for j in range(order + 1):
-        report.record(
-            {"u_power": j}, product.coefficient(j), one if j == 0 else zero
-        )
+        report.record({"u_power": j}, product.coefficient(j), ONE if j == 0 else ZERO)
     return report
 
 
@@ -292,9 +276,9 @@ def support_weights(
     weights: list[Fraction] = []
     for n in range(max_size + 1):
         for p in enumerate_partitions(n, family.constraint):
-            coeff, upower = cl_numerator(p, family.sign)
             support.append(p)
-            weights.append(params.u**upower * coeff.evaluate(params.q))
+            coeff = kernel_weight(p, family.sign).evaluate(params.q)
+            weights.append(params.u**p.size * coeff)
     return support, weights
 
 

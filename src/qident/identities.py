@@ -33,11 +33,10 @@ lists over one common denominator.  The hypergeometric rewrites reach the
 kernel through the generic ``qseries.pochhammer`` and
 ``qseries.terminating_sum``, and ``term_d`` through ``TruncatedSeries``.
 The values interoperate with ``RationalFunction`` (``to_rational``, ``str``
-and ``evaluate`` are the canonical ones).  The 2phi1 sweeps compute on
-``Fraction``; the series and distributions, ``qseries.coeff_u_lemma`` and
-``partitions.summand_weight`` (the weights the CLI prints) stay on
-``RationalFunction``; ``coeff_u_lemma`` and ``summand_weight`` here are
-their kernel counterparts.
+and ``evaluate`` are the canonical ones).  ``coeff_u_lemma`` and
+``summand_weight`` are the kernel counterparts of ``qseries.coeff_u_lemma``
+and ``partitions.summand_weight`` (the weights the CLI prints), which stay
+on ``RationalFunction`` as the independent route.
 """
 
 from __future__ import annotations
@@ -46,7 +45,12 @@ from collections.abc import Callable
 from functools import lru_cache, wraps
 
 from .cleared import ZERO, Cleared, csum, pochhammer_inv_q2, q, q_power
-from .partitions import ParityConstraint, enumerate_partitions, weight_exponent
+from .partitions import (
+    ParityConstraint,
+    enumerate_partitions,
+    multiplicity_factors,
+    weight_exponent,
+)
 from .qseries import (
     DEFAULT_SEED,
     limit_two_phi_one,
@@ -85,10 +89,8 @@ def summand_weight(partition, sign: int) -> Cleared:
     (x^2;x^2)_{floor(m_i/2)}."""
     if not partition.num_parts:
         return ZERO
-    exps = {partition.num_parts: -1}
-    for mult in partition.multiplicities.values():
-        for j in range(2, mult + 1, 2):
-            exps[j] = exps.get(j, 0) + 1
+    exps = multiplicity_factors(partition)
+    exps[partition.num_parts] = exps.get(partition.num_parts, 0) - 1
     return Cleared(shift=weight_exponent(partition, sign), exps=exps)
 
 

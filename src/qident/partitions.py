@@ -8,6 +8,11 @@ number of odd parts.
 Two parity constraints matter here: "every odd part has even multiplicity"
 (the symplectic side, weight exponent sign +1) and "every even part has
 even multiplicity" (the orthogonal side, sign -1).
+
+``summand_weight`` and ``cl_numerator`` compute the weights in Q(q), the
+independent route and what ``partitions --weights`` prints;
+``kernel_weight`` and ``identities.summand_weight`` build them on the
+integer kernel from ``multiplicity_factors``.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property, reduce
 
+from .cleared import Cleared
 from .qseries import pochhammer_inv_q2
 from .rational import RationalFunction, q_power
 
@@ -150,6 +156,16 @@ def weight_exponent(partition: Partition, sign: int) -> int:
     return total // 2
 
 
+def multiplicity_factors(partition: Partition) -> dict[int, int]:
+    """prod_i (x^2;x^2)_{floor(m_i / 2)} with x = 1/q, as the exponent e_j
+    of each factor (1 - x^j): the denominator of a kernel weight."""
+    exps: dict[int, int] = {}
+    for mult in partition.multiplicities.values():
+        for j in range(2, mult + 1, 2):
+            exps[j] = exps.get(j, 0) + 1
+    return exps
+
+
 def _multiplicity_pochhammer(partition: Partition) -> RationalFunction:
     """prod_i (1/q^2; 1/q^2)_{floor(m_i / 2)} over the parts present."""
     return reduce(
@@ -186,3 +202,10 @@ def cl_numerator(partition: Partition, sign: int) -> tuple[RationalFunction, int
     expo = weight_exponent(partition, sign)
     coeff = q_power(-expo) / _multiplicity_pochhammer(partition)
     return coeff, partition.size
+
+
+def kernel_weight(partition: Partition, sign: int) -> Cleared:
+    """The coefficient of ``cl_numerator`` on the integer kernel, a unit:
+    x^{weight_exponent} / prod_i (x^2;x^2)_{floor(m_i/2)} with x = 1/q."""
+    exps = multiplicity_factors(partition)
+    return Cleared(shift=weight_exponent(partition, sign), exps=exps)

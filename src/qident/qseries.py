@@ -19,12 +19,11 @@ Representation: the engine -- ``pochhammer``, ``terminating_sum``, the
 2phi1 sums and checks, ``qbinomial_coefficient``, ``TruncatedSeries`` and
 ``pochhammer_series`` -- computes in the field of its arguments, with field
 operations and truthiness only.  ``as_element`` is the one coercion rule at
-its boundary: a ``cleared.Cleared`` (the identity chain's kernel), a
+its boundary: a ``cleared.Cleared`` (the integer kernel), a
 RationalFunction or a Fraction stays as it is, an int becomes a Fraction,
 and anything else goes into Q(q).  So the randomized 2phi1 sweeps, which
-draw rational parameters, compute on Fraction; the identity chain computes
-on its kernel; and the distribution series, built from RationalFunction
-values, stay in Q(q).
+draw rational parameters, compute on Fraction, and the identity chain and
+the distribution series on the kernel.
 """
 
 from __future__ import annotations
@@ -78,7 +77,8 @@ _POCHHAMMER_CACHE = 128
 
 @lru_cache(maxsize=_POCHHAMMER_CACHE)
 def pochhammer_inv_q2(n: int) -> RationalFunction:
-    """(1/q^2; 1/q^2)_n, the product appearing in every partition weight."""
+    """(1/q^2; 1/q^2)_n in Q(q), the product in every partition weight
+    (``cleared.pochhammer_inv_q2`` is its kernel counterpart)."""
     if n == 0:
         return q_power(0)
     return pochhammer_inv_q2(n - 1) * (1 - q_power(-2 * n))

@@ -64,10 +64,6 @@ class Polynomial:
         return _P_ONE
 
     @classmethod
-    def constant(cls, c: Scalar) -> "Polynomial":
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, degree: int, coeff: Scalar = 1) -> "Polynomial":
         if degree < 0:
             raise ValueError("monomial degree must be nonnegative")
@@ -176,12 +172,6 @@ class Polynomial:
         r = Polynomial.__new__(Polynomial)
         r.coeffs = _strip(rem)
         return q, r
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def evaluate(self, point: Scalar) -> Fraction:
         point = Fraction(point)

@@ -15,6 +15,7 @@ from qident.distributions import (
     prefactor_series,
     prob,
     sample,
+    support_weights,
     truncated_distribution,
     truncated_prefactor,
 )
@@ -180,3 +181,28 @@ def test_sample_mass_accounting(params):
     for p in res.partitions:
         assert p.size <= 5
         assert Family.O.constraint.admits(p)
+
+
+def test_series_and_weights_run_without_rational_functions(monkeypatch):
+    """The series checks and the dist weights compute on the integer
+    kernel: no polynomial gcd, product or RationalFunction evaluation."""
+    from qident import cleared, rational
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the series or the dist weights reached Q(q) arithmetic")
+
+    monkeypatch.setattr(rational, "poly_gcd", refuse)
+    monkeypatch.setattr(rational, "_prs_gcd", refuse)
+    monkeypatch.setattr(rational.Polynomial, "__mul__", refuse)
+    monkeypatch.setattr(rational.RationalFunction, "evaluate", refuse)
+    params = MeasureParams.with_tolerance(Fraction(6, 5), HALF, TOL)
+    for fam in Family:
+        for report in (marginal_vs_bruteforce(fam, 3, 12), normalization_check(fam, 12)):
+            assert report.passed and report.n_checked > 0, report.summary()
+            for result in report.results:
+                assert type(result.lhs_value) is cleared.Cleared
+                assert type(result.rhs_value) is cleared.Cleared
+        support, weights = support_weights(fam, params, 10)
+        assert len(support) == len(weights) and all(w > 0 for w in weights)
+        for p in enumerate_partitions(6):
+            prob(p, fam, params)

@@ -5,10 +5,13 @@ The first four digests were recorded before coefficients were stored as
 term-ratio engine and the checks onto one registry.  The ``FAILING``
 digests, of a deliberately broken check, were recorded before the identity
 chain moved onto the cleared-denominator kernel (``qident.cleared``), so
-they pin the counterexample strings a failing check prints.  The last six
-``GOLDEN`` digests (from ``verify qseries --seed 13`` on) and the
-``SWEEP_FAILING`` ones were recorded while the 2phi1 sweeps still computed
-in Q(q), before they moved onto Fraction.  Any change to arithmetic,
+they pin the counterexample strings a failing check prints.  The six
+``GOLDEN`` digests from ``verify qseries --seed 13`` to ``dist eval ...
+--max-size 10`` and the ``SWEEP_FAILING`` ones were recorded while the
+2phi1 sweeps still computed in Q(q), before they moved onto Fraction.  The
+three ``--max-size 16`` dist digests and the ``SERIES_FAILING`` ones were
+recorded while the series and the distribution weights still computed in
+Q(q), before they moved onto the kernel.  Any change to arithmetic,
 canonical forms or serialization that alters a single output byte fails
 here.
 """
@@ -17,7 +20,7 @@ import hashlib
 
 import pytest
 
-from qident import cli, identities, qseries
+from qident import cli, distributions, identities, qseries
 from qident.rational import q_power
 
 GOLDEN = {
@@ -78,6 +81,15 @@ GOLDEN = {
     "dist eval --family o --q 6/5 --u 1/2 --max-size 10": (
         "e71765040285f63650cec41dfcf6b2ec57d01ebadd5d337d2a3c2f55fe0dfb2b"
     ),
+    "dist eval --family o --q 6/5 --u 1/2 --max-size 16": (
+        "5447161f641a3c48e59d093a60282b8a4da94d283894130780343e44a3d37b80"
+    ),
+    "dist eval --family sp --q 2 --u 1/2 --max-size 16": (
+        "350d389ad6edeca0c6dcc0023447e390264c68fecff26c059d4392c49241a8e1"
+    ),
+    "dist sample --family o --q 6/5 --u 1/2 --max-size 16 --count 2000 --seed 13": (
+        "3bbbaae73659e2913b0f623062332acb560950462123b2174fb483073f54ee3a"
+    ),
 }
 
 
@@ -136,3 +148,26 @@ def test_golden_sweep_failure_stdout(capsys, monkeypatch, fmt):
     out = capsys.readouterr().out
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_FAILING[fmt]
+
+
+#: The normalization series with the k = 1 marginal classes counted twice:
+#: the sp report first fails at u^2 (lhs = q/(q^2 - 1)), the o report at u.
+SERIES_FAILING = {
+    "json": "d3dcd8c1f6b130e771d7323a4d56525f79ecb9c61b7e80c5cb87159dccb33afb",
+    "text": "626170729f31ee26859ea648a6c1f3f53628ce7616b4735ce0e638beb7aa89a0",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SERIES_FAILING))
+def test_golden_series_failure_stdout(capsys, monkeypatch, fmt):
+    direct = distributions.marginal_series
+
+    def doubled(family, parity, k, order):
+        series = direct(family, parity, k, order)
+        return series + series if k == 1 else series
+
+    monkeypatch.setattr(distributions, "marginal_series", doubled)
+    code = cli.main(["verify", "normalization", "--order", "4", "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_FAILING[fmt]
