@@ -1,7 +1,9 @@
 """Exact-arithmetic verification of q-series partition identities.
 
-Everything is computed in the rational-function field Q(q) (or in exact
-truncated power series over it), so every check is an equality of canonical
+Every value is exact: the identity chain and the distribution series
+compute on the integer cleared-denominator kernel ``cleared.Cleared``, the
+2phi1 sweeps on ``Fraction``, and the independent routes in the
+rational-function field Q(q).  So every check is an equality of canonical
 forms -- no tolerances anywhere.
 """
 

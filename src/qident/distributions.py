@@ -239,16 +239,10 @@ def normalization_check(family: Family, order: int) -> VerificationReport:
     report = VerificationReport(
         f"normalization-{family.value}", params={"order": order}
     )
-    total = TruncatedSeries.constant(ONE, order)  # empty-partition class
-    for k in range(1, order + 1):
-        even_lead = 2 * k
-        odd_lead = 2 * k if family is Family.SP else 2 * k - 1
-        if even_lead > order and odd_lead > order:
-            break
-        if even_lead <= order:
-            total = total + marginal_series(family, "even", k, order)
-        if odd_lead <= order:
-            total = total + marginal_series(family, "odd", k, order)
+    # column c starts at u^c or later, so columns 0..order cover u^0..u^order
+    total = first_column_marginal(family, 0, order)
+    for column in range(1, order + 1):
+        total = total + first_column_marginal(family, column, order)
     prefactor = prefactor_series(order)
     if family is Family.O:  # an explicit ONE: Cleared + Fraction would fall back to Q(q)
         one_plus_u = TruncatedSeries.constant(ONE, order) + TruncatedSeries.monomial(
@@ -363,10 +357,7 @@ def sample(
     draws = []
     for _ in range(count):
         r = Fraction(rng.random())
-        idx = bisect_right(cdf, r)
-        if idx >= len(support):  # guard against r == 1 edge
-            idx = len(support) - 1
-        draws.append(support[idx])
+        draws.append(support[bisect_right(cdf, r)])  # cdf[-1] == 1 > r
     return SampleResult(
         family=family,
         params=params,

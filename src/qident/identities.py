@@ -3,14 +3,18 @@
 Every check compares two independently computed elements of Q(q):
 
 * the enumeration side sums explicit weights over constrained partitions
-  (``lhs_*``),
+  (``lhs_*``, on ``_enumerated``),
 * the term side rebuilds the same quantity from first-column classes via
-  the coefficient-extraction closed form (``term_*`` / ``sum_*``),
+  the coefficient-extraction closed form (``term_*`` on ``_column``, and
+  their sums ``sum_*``),
 * the closed side evaluates the displayed alternating sums (``rhs_*``,
-  ``sum_*_closed``) and their hypergeometric rewrites.
+  ``sum_*_closed``, on ``_alternating``) and their hypergeometric rewrites
+  (``hyper_*`` on ``_s_sum``, ``phi_*`` on ``_limit``).
 
-No check ever compares a formula against itself; that separation is the
-entire point of the package.
+Each displayed shape is written once, as one of those builders, and each
+public value is one builder call times its displayed prefactor.  No check
+ever compares a formula against itself; that separation is the entire
+point of the package.
 
 Identity ids: ANZ1/ANZ2/ANZ3 are the three target identities (even size
 with odd parts of even multiplicity; odd and even size with even parts of
@@ -79,6 +83,46 @@ def _require_range(k: int, lo: int, hi: int) -> None:
         raise ValueError(f"index k={k} outside [{lo}, {hi}]")
 
 
+def _enumerated(size: int, constraint: ParityConstraint, sign: int) -> Cleared:
+    """Sum of summand_weight(p, sign) over the partitions p of size under constraint."""
+    return csum(summand_weight(p, sign) for p in enumerate_partitions(size, constraint))
+
+
+def _alternating(m: int, first: int, summand: Callable[[int], Cleared]) -> Cleared:
+    """sum_{i=first}^{m} (-1)^{i-1} summand(i) / (1/q^2;1/q^2)_{m-i}."""
+    return csum(
+        _alt_sign(i) * summand(i) / pochhammer_inv_q2(m - i)
+        for i in range(first, m + 1)
+    )
+
+
+def _column(k: int, m: int, exponent: int) -> Cleared:
+    """q^{-exponent} / (1/q^2;1/q^2)_{k-1} * coeff_u_lemma(k, m), 1 <= k <= m."""
+    _require_range(k, 1, m)
+    return q_power(-exponent) / pochhammer_inv_q2(k - 1) * coeff_u_lemma(k, m)
+
+
+def _s_sum(m: int, exponent: Callable[[int], int]) -> Cleared:
+    """sum_{s=0}^{m-1} (-1)^s (q^{2m-2};q^{-2})_s q^{exponent(s)}
+    / (1/q^2;1/q^2)_s^2, for m >= 1."""
+    if m < 1:
+        raise ValueError("defined for m >= 1")
+    return csum(
+        (1 if s % 2 == 0 else -1)
+        * pochhammer(q_power(2 * m - 2), q_power(-2), s)
+        / pochhammer_inv_q2(s) ** 2
+        * q_power(exponent(s))
+        for s in range(m)
+    )
+
+
+def _limit(n: int, z_exponent: int) -> Cleared:
+    """limit_two_phi_one(n, q^{-2}, q^{-2}, q^{z_exponent}), for n >= 0."""
+    if n < 0:
+        raise ValueError(f"defined for n >= 0, got n={n}")
+    return limit_two_phi_one(n, q_power(-2), q_power(-2), q_power(z_exponent))
+
+
 # ---------------------------------------------------------------------------
 # Enumeration sides
 # ---------------------------------------------------------------------------
@@ -98,26 +142,21 @@ def summand_weight(partition, sign: int) -> Cleared:
 def lhs_anz1(m: int) -> Cleared:
     """Sum of sign +1 weights over partitions of 2m whose odd parts all
     occur with even multiplicity."""
-    parts = enumerate_partitions(2 * m, ParityConstraint.ODD_PARTS_EVEN_MULTIPLICITY)
-    return csum(summand_weight(p, +1) for p in parts)
+    return _enumerated(2 * m, ParityConstraint.ODD_PARTS_EVEN_MULTIPLICITY, +1)
 
 
 @lru_cache(maxsize=_SIDE_CACHE)
 def lhs_anz2(m: int) -> Cleared:
     """Sum of sign -1 weights over partitions of 2m+1 whose even parts all
     occur with even multiplicity."""
-    parts = enumerate_partitions(
-        2 * m + 1, ParityConstraint.EVEN_PARTS_EVEN_MULTIPLICITY
-    )
-    return csum(summand_weight(p, -1) for p in parts)
+    return _enumerated(2 * m + 1, ParityConstraint.EVEN_PARTS_EVEN_MULTIPLICITY, -1)
 
 
 @lru_cache(maxsize=_SIDE_CACHE)
 def lhs_anz3(m: int) -> Cleared:
     """Sum of sign -1 weights over partitions of 2m whose even parts all
     occur with even multiplicity."""
-    parts = enumerate_partitions(2 * m, ParityConstraint.EVEN_PARTS_EVEN_MULTIPLICITY)
-    return csum(summand_weight(p, -1) for p in parts)
+    return _enumerated(2 * m, ParityConstraint.EVEN_PARTS_EVEN_MULTIPLICITY, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +167,8 @@ def lhs_anz3(m: int) -> Cleared:
 def rhs_anz1(m: int) -> Cleared:
     """1/(q^m (q+1)) * sum_{i=1}^{m} (-1)^{i-1} (q^{2i+1}+1)
     / (q^{i(i+1)} (1/q^2;1/q^2)_{m-i}); empty sum for m = 0."""
-    body = csum(
-        _alt_sign(i)
-        * (q_power(2 * i + 1) + 1)
-        * q_power(-i * (i + 1))
-        / pochhammer_inv_q2(m - i)
-        for i in range(1, m + 1)
+    body = _alternating(
+        m, 1, lambda i: (q_power(2 * i + 1) + 1) * q_power(-i * (i + 1))
     )
     return q_power(-m) * body / (q + 1)
 
@@ -142,21 +177,14 @@ def rhs_anz1(m: int) -> Cleared:
 def rhs_anz2(m: int) -> Cleared:
     """1/(q^m (1/q^2;1/q^2)_m) + 1/q^{m+1} * sum_{i=0}^{m} (-1)^{i-1}
     / (q^{i(i+1)} (1/q^2;1/q^2)_{m-i})."""
-    body = csum(
-        _alt_sign(i) * q_power(-i * (i + 1)) / pochhammer_inv_q2(m - i)
-        for i in range(m + 1)
-    )
+    body = _alternating(m, 0, lambda i: q_power(-i * (i + 1)))
     return q_power(-m) / pochhammer_inv_q2(m) + q_power(-(m + 1)) * body
 
 
 @lru_cache(maxsize=_SIDE_CACHE)
 def rhs_anz3(m: int) -> Cleared:
     """1/q^m * sum_{i=1}^{m} (-1)^{i-1} / (q^{i(i-1)} (1/q^2;1/q^2)_{m-i})."""
-    body = csum(
-        _alt_sign(i) * q_power(-i * (i - 1)) / pochhammer_inv_q2(m - i)
-        for i in range(1, m + 1)
-    )
-    return q_power(-m) * body
+    return q_power(-m) * _alternating(m, 1, lambda i: q_power(-i * (i - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,48 +203,29 @@ def coeff_u_lemma(k: int, m: int) -> Cleared:
 def term_a(k: int, m: int) -> Cleared:
     """Even first-column class 2k of the sign +1 sum, after absorbing the
     (1 - q^{-2k}) head into the Pochhammer."""
-    _require_range(k, 1, m)
-    return q_power(-(2 * k * k + k)) / pochhammer_inv_q2(k - 1) * coeff_u_lemma(k, m)
+    return _column(k, m, 2 * k * k + k)
 
 
 def term_b(k: int, m: int) -> Cleared:
     """Odd first-column class 2k-1 of the sign +1 sum, with its explicit
     (1 - q^{1-2k}) head."""
-    _require_range(k, 1, m)
-    return (
-        (1 - q_power(1 - 2 * k))
-        * q_power(-(2 * k * k - k))
-        / pochhammer_inv_q2(k - 1)
-        * coeff_u_lemma(k, m)
-    )
+    return (1 - q_power(1 - 2 * k)) * _column(k, m, 2 * k * k - k)
 
 
 def term_a2(k: int, m: int) -> Cleared:
     """First piece of the regrouped split of term_a + term_b."""
-    _require_range(k, 1, m)
-    return (
-        (1 - q)
-        * q_power(-(2 * k * k + k))
-        / pochhammer_inv_q2(k - 1)
-        * coeff_u_lemma(k, m)
-    )
+    return (1 - q) * _column(k, m, 2 * k * k + k)
 
 
 def term_b2(k: int, m: int) -> Cleared:
     """Second piece of the regrouped split of term_a + term_b."""
-    _require_range(k, 1, m)
-    return q_power(-(2 * k * k - k)) / pochhammer_inv_q2(k - 1) * coeff_u_lemma(k, m)
+    return _column(k, m, 2 * k * k - k)
 
 
 def term_c1(k: int, m: int) -> Cleared:
     """Head-free part of the odd first-column class term of the odd-size
     sign -1 sum (index runs to k = m+1)."""
-    _require_range(k, 1, m + 1)
-    return (
-        q_power(-(2 * k * k - 3 * k + 1))
-        / pochhammer_inv_q2(k - 1)
-        * coeff_u_lemma(k, m + 1)
-    )
+    return _column(k, m + 1, 2 * k * k - 3 * k + 1)
 
 
 def term_c2(k: int, m: int) -> Cleared:
@@ -239,11 +248,8 @@ def term_d(k: int, m: int) -> Cleared:
     """
     _require_range(k, 1, m)
     series = reciprocal_pochhammer_series(q_power(-1), q_power(-2), k, m - k)
-    return (
-        q_power(-(2 * k * k - k))
-        / pochhammer_inv_q2(k - 1)
-        * series.coefficient(m - k)
-    )
+    head = q_power(-(2 * k * k - k)) / pochhammer_inv_q2(k - 1)
+    return head * series.coefficient(m - k)
 
 
 def sum_ab(m: int) -> Cleared:
@@ -265,36 +271,20 @@ def sum_d(m: int) -> Cleared:
 def sum_a2_closed(m: int) -> Cleared:
     """1/(q^m (1+q)) * sum_{i=1}^{m} (-1)^{i-1} q^{-i(i+1)} (1 - q^{2i})
     / (1/q^2;1/q^2)_{m-i}."""
-    body = csum(
-        _alt_sign(i)
-        * q_power(-i * (i + 1))
-        * (1 - q_power(2 * i))
-        / pochhammer_inv_q2(m - i)
-        for i in range(1, m + 1)
-    )
+    body = _alternating(m, 1, lambda i: q_power(-i * (i + 1)) * (1 - q_power(2 * i)))
     return q_power(-m) * body / (1 + q)
 
 
 def sum_b2_closed(m: int) -> Cleared:
     """q^{-m} * sum_{i=1}^{m} (-1)^{i-1} q^{-i(i+1)} q^{2i}
     / (1/q^2;1/q^2)_{m-i}."""
-    body = csum(
-        _alt_sign(i)
-        * q_power(-i * (i + 1))
-        * q_power(2 * i)
-        / pochhammer_inv_q2(m - i)
-        for i in range(1, m + 1)
-    )
+    body = _alternating(m, 1, lambda i: q_power(-i * (i + 1)) * q_power(2 * i))
     return q_power(-m) * body
 
 
 def sum_c2_closed(m: int) -> Cleared:
     """q^{-m-1} * sum_{i=0}^{m} (-1)^{i-1} q^{-i(i+1)} / (1/q^2;1/q^2)_{m-i}."""
-    body = csum(
-        _alt_sign(i) * q_power(-i * (i + 1)) / pochhammer_inv_q2(m - i)
-        for i in range(m + 1)
-    )
-    return q_power(-(m + 1)) * body
+    return q_power(-(m + 1)) * _alternating(m, 0, lambda i: q_power(-i * (i + 1)))
 
 
 def sum_c1_closed(m: int) -> Cleared:
@@ -304,46 +294,22 @@ def sum_c1_closed(m: int) -> Cleared:
 
 def hyper_sum_a2(m: int) -> Cleared:
     """The a2 sum as an explicit basic hypergeometric s-sum."""
-    if m < 1:
-        raise ValueError("defined for m >= 1")
-    body = csum(
-        (1 if s % 2 == 0 else -1)
-        * pochhammer(q_power(2 * m - 2), q_power(-2), s)
-        / pochhammer_inv_q2(s) ** 2
-        * q_power(-s * s - 3 * s - 2 * s * m - 2)
-        for s in range(m)
-    )
-    return q_power(-m) * (1 - q) * body
+    return q_power(-m) * (1 - q) * _s_sum(m, lambda s: -s * s - 3 * s - 2 * s * m - 2)
 
 
 def hyper_sum_b2(m: int) -> Cleared:
     """The b2 sum as an explicit basic hypergeometric s-sum."""
-    if m < 1:
-        raise ValueError("defined for m >= 1")
-    body = csum(
-        (1 if s % 2 == 0 else -1)
-        * pochhammer(q_power(2 * m - 2), q_power(-2), s)
-        / pochhammer_inv_q2(s) ** 2
-        * q_power(-s * s - s - 2 * s * m)
-        for s in range(m)
-    )
-    return q_power(-m) * body
+    return q_power(-m) * _s_sum(m, lambda s: -s * s - s - 2 * s * m)
 
 
 def phi_sum_a2(m: int) -> Cleared:
     """The a2 sum through the large-b limit of the terminating 2phi1."""
-    if m < 1:
-        raise ValueError("defined for m >= 1")
-    phi = limit_two_phi_one(m - 1, q_power(-2), q_power(-2), q_power(-2 * m - 4))
-    return q_power(-m - 2) * (1 - q) * phi
+    return q_power(-m - 2) * (1 - q) * _limit(m - 1, -2 * m - 4)
 
 
 def phi_sum_b2(m: int) -> Cleared:
     """The b2 sum through the large-b limit of the terminating 2phi1."""
-    if m < 1:
-        raise ValueError("defined for m >= 1")
-    phi = limit_two_phi_one(m - 1, q_power(-2), q_power(-2), q_power(-2 * m - 2))
-    return q_power(-m) * phi
+    return q_power(-m) * _limit(m - 1, -2 * m - 2)
 
 
 def hyper_sum_c1(m: int) -> Cleared:
@@ -359,8 +325,7 @@ def hyper_sum_c1(m: int) -> Cleared:
 
 def phi_sum_c1(m: int) -> Cleared:
     """The c1 sum through the large-b limit of the terminating 2phi1."""
-    phi = limit_two_phi_one(m, q_power(-2), q_power(-2), q_power(-2 * m - 2))
-    return q_power(-m) * phi
+    return q_power(-m) * _limit(m, -2 * m - 2)
 
 
 # ---------------------------------------------------------------------------

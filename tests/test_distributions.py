@@ -183,6 +183,20 @@ def test_sample_mass_accounting(params):
         assert Family.O.constraint.admits(p)
 
 
+def test_sample_top_of_unit_interval_draws_last_partition(monkeypatch, params):
+    """random() is at most 1 - 2^-53, below the last CDF entry, which is
+    exactly total/total = 1: the draw is the last support partition."""
+    import random
+
+    class Top(random.Random):
+        def random(self):
+            return 1 - 2.0**-53
+
+    monkeypatch.setattr(random, "Random", Top)
+    support, _ = support_weights(Family.SP, params, 6)
+    assert sample(Family.SP, params, 6, 3, 0).partitions == (support[-1],) * 3
+
+
 def test_series_and_weights_run_without_rational_functions(monkeypatch):
     """The series checks and the dist weights compute on the integer
     kernel: no polynomial gcd, product or RationalFunction evaluation."""

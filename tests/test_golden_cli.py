@@ -11,7 +11,10 @@ they pin the counterexample strings a failing check prints.  The six
 2phi1 sweeps still computed in Q(q), before they moved onto Fraction.  The
 three ``--max-size 16`` dist digests and the ``SERIES_FAILING`` ones were
 recorded while the series and the distribution weights still computed in
-Q(q), before they moved onto the kernel.  Any change to arithmetic,
+Q(q), before they moved onto the kernel.  The seven digests from ``verify
+anz1 --m-max 8`` to ``verify normalization --order 19`` were recorded before
+each displayed shape of the identity chain got one builder and before
+``normalization_check`` summed the literal first columns.  Any change to arithmetic,
 canonical forms or serialization that alters a single output byte fails
 here.
 """
@@ -89,6 +92,27 @@ GOLDEN = {
     ),
     "dist sample --family o --q 6/5 --u 1/2 --max-size 16 --count 2000 --seed 13": (
         "3bbbaae73659e2913b0f623062332acb560950462123b2174fb483073f54ee3a"
+    ),
+    "verify anz1 --m-max 8": (
+        "7a499029c450fcd5f76650371560e54c4859871b91a75a61b7ce496dd14cc399"
+    ),
+    "verify anz2 --m-max 8": (
+        "2f5dbb85c988ab6fdfda820fdad663fa4d20626b68cc81234bb1a4ce527d678c"
+    ),
+    "verify anz3 --m-max 8": (
+        "dba9a09cf19b7ceed832693ab1d0bc3618fc3bfaef61c4f60e4bc6a44d0d5873"
+    ),
+    "verify eq4 --m-max 8": (
+        "03656b2577f4e59a31d896771d14d9da5b5a9a38bde97b3f96b46fe95241803a"
+    ),
+    "verify eq5 --m-max 8": (
+        "fbb9e24c540195a674cb74547a8dd99139bd176bea3656ebddd3a16735ea931d"
+    ),
+    "verify splits --m-max 8": (
+        "9b5a71923d1cabbf5f1c16d747eeae82708287130bbf1799a7f82339821e335e"
+    ),
+    "verify normalization --order 19": (
+        "369ff910eb5a510ed68a128edb7ed804134f7b530790d323cb80e10a5c8bd0fa"
     ),
 }
 

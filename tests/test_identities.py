@@ -61,6 +61,21 @@ def test_term_index_ranges():
 
 
 @pytest.mark.parametrize(
+    "rewrite, m",
+    [
+        (idn.hyper_sum_a2, 0),
+        (idn.hyper_sum_b2, 0),
+        (idn.phi_sum_a2, 0),
+        (idn.phi_sum_b2, 0),
+        (idn.phi_sum_c1, -1),  # a negative-length limit 2phi1, not its k = 0 term
+    ],
+)
+def test_rewrites_refuse_an_empty_range(rewrite, m):
+    with pytest.raises(ValueError):
+        rewrite(m)
+
+
+@pytest.mark.parametrize(
     "check",
     [
         idn.check_anz1,
