@@ -17,11 +17,16 @@ The infinite product is handled two ways:
 
 The sampler draws from the renormalized restriction of the measure to
 partitions of bounded size; the normalizing product cancels there, so the
-draw weights are exact rationals.
+draw weights are exact rationals.  Their CDF is kept as integer thresholds
+T_i = ceil(cdf_i * 2^53).  ``random.Random.random()`` returns k / 2^53 for
+an integer 0 <= k < 2^53, and for an integer k, cdf_i > k / 2^53 holds
+exactly when T_i > k, so bisecting the integers T at k draws the same
+partition as bisecting the exact rational CDF at random().
 """
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -326,6 +331,22 @@ def truncated_mass_bound(params: MeasureParams, support_mass: Fraction) -> Fract
     return max(1 - (1 - params.tail_bound) * support_mass, Fraction(0))
 
 
+#: random.Random.random() returns k / RANDOM_SCALE for an integer k.
+RANDOM_SCALE = 1 << 53
+
+
+def cdf_thresholds(weights: list[Fraction], total: Fraction) -> list[int]:
+    """The integer inverse-CDF thresholds T_i = ceil(cdf_i * 2^53) of the
+    positive ``weights``, where cdf_i is their i-th partial sum over
+    ``total``; the last threshold is 2^53."""
+    thresholds = []
+    acc = Fraction(0)
+    for w in weights:
+        acc += w
+        thresholds.append(math.ceil(acc * RANDOM_SCALE / total))
+    return thresholds
+
+
 def sample(
     family: Family,
     params: MeasureParams,
@@ -334,6 +355,14 @@ def sample(
     seed: int,
 ) -> SampleResult:
     """Inverse-CDF draws over the enumerated truncated support.
+
+    Each draw takes k = random() * 2^53, an exact integer below 2^53, and
+    returns the support partition at ``bisect_right(T, k)`` over the
+    ``cdf_thresholds`` T.  Since cdf_i > k / 2^53 exactly when T_i > k, this
+    is the partition the exact rational CDF gives at random(), found with
+    integer comparisons only; the last threshold, 2^53, exceeds every k.  A
+    random() that is not k / 2^53 with 0 <= k < 2^53 raises ValueError
+    instead of being drawn.
 
     Deterministic for a fixed seed.  ``truncated_mass_bound`` is a rigorous
     upper bound on the true measure of partitions outside the support,
@@ -348,16 +377,15 @@ def sample(
     raw_mass = truncated_prefactor(family, params) * total
     bound = truncated_mass_bound(params, raw_mass)
 
-    cdf: list[Fraction] = []
-    acc = Fraction(0)
-    for w in weights:
-        acc += w
-        cdf.append(acc / total)
+    thresholds = cdf_thresholds(weights, total)
     rng = random.Random(seed)
     draws = []
     for _ in range(count):
-        r = Fraction(rng.random())
-        draws.append(support[bisect_right(cdf, r)])  # cdf[-1] == 1 > r
+        x = rng.random() * RANDOM_SCALE  # exact: a power-of-two scaling
+        k = int(x)
+        if k != x or not 0 <= k < RANDOM_SCALE:
+            raise ValueError(f"random() returned {x / RANDOM_SCALE!r}, not k / 2^53 in [0, 1)")
+        draws.append(support[bisect_right(thresholds, k)])  # thresholds[-1] == 2^53 > k
     return SampleResult(
         family=family,
         params=params,

@@ -117,9 +117,7 @@ def _s_sum(m: int, exponent: Callable[[int], int]) -> Cleared:
 
 
 def _limit(n: int, z_exponent: int) -> Cleared:
-    """limit_two_phi_one(n, q^{-2}, q^{-2}, q^{z_exponent}), for n >= 0."""
-    if n < 0:
-        raise ValueError(f"defined for n >= 0, got n={n}")
+    """limit_two_phi_one(n, q^{-2}, q^{-2}, q^{z_exponent}); n < 0 raises."""
     return limit_two_phi_one(n, q_power(-2), q_power(-2), q_power(z_exponent))
 
 

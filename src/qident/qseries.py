@@ -120,9 +120,12 @@ def terminating_sum(upper, lower, base, z, n: int, twist: int = 0) -> Element:
     prod_i (1 - a_i p^{k-1}) z ((-1) p^{k-1})^twist
     / ((1 - p^k) prod_j (1 - b_j p^{k-1})), using only field operations,
     so the sum is computed in the parameters' field (and added up by
-    ``cleared.csum``).  A zero base with n > 0, or a denominator factor that
-    vanishes at some k <= n, raises DegenerateParameters.
+    ``cleared.csum``).  A negative n raises ValueError, as in ``pochhammer``;
+    a zero base with n > 0, or a denominator factor that vanishes at some
+    k <= n, raises DegenerateParameters.
     """
+    if n < 0:
+        raise ValueError(f"sum length must be nonnegative, got n={n}")
     if n > 0 and not base:
         raise DegenerateParameters("series base is zero")
     term = power = as_element(base) ** 0  # power is p^{k-1} while term k is built

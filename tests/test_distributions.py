@@ -1,13 +1,19 @@
 """Measure parameters, marginal series, normalization, and the sampler."""
 
+import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qident.distributions import (
+    RANDOM_SCALE,
     Family,
     MeasureParams,
     SampleResult,
+    cdf_thresholds,
     first_column_marginal,
     marginal_series,
     marginal_vs_bruteforce,
@@ -195,6 +201,90 @@ def test_sample_top_of_unit_interval_draws_last_partition(monkeypatch, params):
     monkeypatch.setattr(random, "Random", Top)
     support, _ = support_weights(Family.SP, params, 6)
     assert sample(Family.SP, params, 6, 3, 0).partitions == (support[-1],) * 3
+
+
+def _oracle_index(weights, k):
+    """The exact rational inverse CDF at k / 2^53: plain Fraction bisection."""
+    total, acc, cdf = sum(weights), Fraction(0), []
+    for w in weights:
+        acc += w
+        cdf.append(acc / total)
+    return bisect_right(cdf, Fraction(k, RANDOM_SCALE))
+
+
+def _edge_draws(thresholds):
+    """k = 0, k = 2^53 - 1 and k = T_i - 1, T_i for every threshold below
+    2^53; k = T_i is the draw at which cdf_i = k / 2^53 when cdf_i * 2^53 is
+    an integer."""
+    ks = {0, RANDOM_SCALE - 1}
+    for t in thresholds:
+        ks.update(k for k in (t - 1, t) if 0 <= k < RANDOM_SCALE)
+    return sorted(ks)
+
+
+#: Positive weights, some with ~10^4-bit denominators like the weights of
+#: the orthogonal measure at q = 11/10.
+weight = st.one_of(
+    st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+    st.builds(
+        lambda a, e: a * Fraction(10, 11) ** e,
+        st.integers(1, 10**6),
+        st.integers(2800, 3000),
+    ),
+)
+
+
+#: Integer weights padded to a power-of-two total, so every cdf_i * 2^53 is
+#: an integer and some draw hits a CDF value exactly.
+@st.composite
+def dyadic_weights(draw):
+    weights = draw(st.lists(st.integers(1, 2**12), min_size=1, max_size=12))
+    total = sum(weights)
+    pad = (1 << total.bit_length()) - total
+    return [Fraction(w) for w in weights + ([pad] if pad else [])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.lists(weight, min_size=1, max_size=12), dyadic_weights()))
+def test_thresholds_bisect_as_the_exact_cdf(weights):
+    thresholds = cdf_thresholds(weights, sum(weights))
+    assert thresholds == sorted(thresholds) and thresholds[-1] == RANDOM_SCALE
+    for k in _edge_draws(thresholds):
+        assert bisect_right(thresholds, k) == _oracle_index(weights, k)
+
+
+def test_random_draws_are_integers_after_scaling():
+    for seed in range(200):
+        rng = random.Random(seed)
+        for _ in range(50):
+            x = rng.random() * RANDOM_SCALE
+            assert x.is_integer() and 0 <= x < RANDOM_SCALE
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, -(2.0**-53)])
+def test_sample_refuses_a_draw_off_the_grid(monkeypatch, params, value):
+    """A random() that is not k / 2^53 with 0 <= k < 2^53 raises instead of
+    being drawn as some other partition."""
+
+    class Off(random.Random):
+        def random(self):
+            return value
+
+    monkeypatch.setattr(random, "Random", Off)
+    with pytest.raises(ValueError, match="2\\^53"):
+        sample(Family.SP, params, 6, 3, 0)
+
+
+def test_sample_matches_the_fraction_cdf_near_q_one():
+    """At q = 11/10 the weights have ~10^4-bit denominators; the draws equal
+    those of the exact Fraction CDF bisected at random()."""
+    params = MeasureParams.with_tolerance(Fraction(11, 10), HALF, TOL)
+    support, weights = support_weights(Family.O, params, 10)
+    rng = random.Random(13)
+    expected = tuple(
+        support[_oracle_index(weights, int(rng.random() * RANDOM_SCALE))] for _ in range(500)
+    )
+    assert sample(Family.O, params, 10, 500, 13).partitions == expected
 
 
 def test_series_and_weights_run_without_rational_functions(monkeypatch):

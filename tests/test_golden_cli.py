@@ -14,9 +14,11 @@ recorded while the series and the distribution weights still computed in
 Q(q), before they moved onto the kernel.  The seven digests from ``verify
 anz1 --m-max 8`` to ``verify normalization --order 19`` were recorded before
 each displayed shape of the identity chain got one builder and before
-``normalization_check`` summed the literal first columns.  Any change to arithmetic,
-canonical forms or serialization that alters a single output byte fails
-here.
+``normalization_check`` summed the literal first columns.  The two 200000-draw
+``dist sample`` digests, the benchmark's printable sample runs, were recorded
+while the sampler still bisected a Fraction CDF, before it moved onto
+integer thresholds.  Any change to arithmetic, canonical forms or
+serialization that alters a single output byte fails here.
 """
 
 import hashlib
@@ -113,6 +115,12 @@ GOLDEN = {
     ),
     "verify normalization --order 19": (
         "369ff910eb5a510ed68a128edb7ed804134f7b530790d323cb80e10a5c8bd0fa"
+    ),
+    "dist sample --family sp --q 2 --u 1/2 --max-size 16 --count 200000 --seed 13": (
+        "8afefc3b8784b1f296aafbbc6a5f1e00f27fc58fc16d445c6e686ee7579eec36"
+    ),
+    "dist sample --family o --q 6/5 --u 1/2 --max-size 16 --count 200000 --seed 13": (
+        "7eca928cf94bcee40aa5a066bcaa6e0bb748c93216e360d8a2d1e22dd7e18cdd"
     ),
 }
 

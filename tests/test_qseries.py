@@ -308,6 +308,20 @@ def test_terminating_sum_refuses_zero_base(base):
 
 
 @pytest.mark.parametrize(
+    "call",
+    [
+        lambda: terminating_sum((Fraction(1, 2),), (), 3, 1, -3),
+        lambda: limit_two_phi_one(-1, 2, 3, 5),
+    ],
+)
+def test_negative_sum_length_raises(call):
+    """A negative length is refused, as in ``pochhammer``, instead of
+    returning the k = 0 term 1."""
+    with pytest.raises(ValueError, match="nonnegative"):
+        call()
+
+
+@pytest.mark.parametrize(
     "lower, base, n",
     [
         ((Fraction(1),), Fraction(2), 1),  # 1 - b at k = 1
