@@ -175,10 +175,8 @@ def cmd_dist_eval(args) -> int:
     support, weights = distributions.support_weights(family, params, args.max_size)
     prefactor = distributions.truncated_prefactor(family, params)
     tail_bound = str(params.tail_bound)
-    total = Fraction(0)
     for p, weight in zip(support, weights):
         value = prefactor * weight
-        total += value
         if args.format == "json":
             _emit(
                 {
@@ -189,6 +187,7 @@ def cmd_dist_eval(args) -> int:
             )
         else:
             print(f"{p.to_json()}  p={float(value):.6g} ({value})")
+    total = prefactor * sum(weights)  # one product instead of one per row
     bound = distributions.truncated_mass_bound(params, total)
     summary = {
         "support_probability": str(total),
@@ -208,8 +207,7 @@ def cmd_dist_sample(args) -> int:
     if args.format == "json":
         _emit(result.to_json_dict())
     else:
-        for p in result.partitions:
-            print(p.to_json())
+        sys.stdout.write("".join(result.render_draws(lambda p: f"{p.to_json()}\n")))
         print(
             f"seed={result.seed} support={float(result.support_probability):.6g} "
             f"truncated_mass_bound={float(result.truncated_mass_bound):.3g}"

@@ -21,7 +21,9 @@ draw weights are exact rationals.  Their CDF is kept as integer thresholds
 T_i = ceil(cdf_i * 2^53).  ``random.Random.random()`` returns k / 2^53 for
 an integer 0 <= k < 2^53, and for an integer k, cdf_i > k / 2^53 holds
 exactly when T_i > k, so bisecting the integers T at k draws the same
-partition as bisecting the exact rational CDF at random().
+partition as bisecting the exact rational CDF at random().  Every T_i and
+every k is an integer of at most 2^53, hence an exact double, so the draws
+bisect a float copy of T at the float k with the same outcome.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat, starmap
 
 from .cleared import ONE, ZERO, csum, pochhammer_inv_q2, q_power
 from .partitions import ParityConstraint, Partition, enumerate_partitions, kernel_weight
@@ -305,9 +308,18 @@ class SampleResult:
     support_probability: Fraction
     truncated_mass_bound: Fraction
 
+    def render_draws(self, render) -> list:
+        """``render(p)`` for every draw p, in draw order.  Every draw is one
+        of the support's partition objects, so ``render`` runs once per
+        distinct object and its result is shared by all of that object's
+        draws."""
+        keys = list(map(id, self.partitions))
+        rendered = {key: render(p) for key, p in dict(zip(keys, self.partitions)).items()}
+        return list(map(rendered.__getitem__, keys))
+
     def to_json_dict(self) -> dict:
         return {
-            "samples": [p.to_json() for p in self.partitions],
+            "samples": self.render_draws(Partition.to_json),
             "metadata": {
                 "family": self.family.value,
                 "params": {
@@ -338,7 +350,8 @@ RANDOM_SCALE = 1 << 53
 def cdf_thresholds(weights: list[Fraction], total: Fraction) -> list[int]:
     """The integer inverse-CDF thresholds T_i = ceil(cdf_i * 2^53) of the
     positive ``weights``, where cdf_i is their i-th partial sum over
-    ``total``; the last threshold is 2^53."""
+    ``total``; the last threshold is 2^53.  Each T_i lies in [1, 2^53], and
+    every integer of at most 2^53 is a double, so ``float(T_i) == T_i``."""
     thresholds = []
     acc = Fraction(0)
     for w in weights:
@@ -359,10 +372,15 @@ def sample(
     Each draw takes k = random() * 2^53, an exact integer below 2^53, and
     returns the support partition at ``bisect_right(T, k)`` over the
     ``cdf_thresholds`` T.  Since cdf_i > k / 2^53 exactly when T_i > k, this
-    is the partition the exact rational CDF gives at random(), found with
-    integer comparisons only; the last threshold, 2^53, exceeds every k.  A
-    random() that is not k / 2^53 with 0 <= k < 2^53 raises ValueError
-    instead of being drawn.
+    is the partition the exact rational CDF gives at random(); the last
+    threshold, 2^53, exceeds every k.  The bisection runs on the float grid
+    ``float(T_i)``: every T_i and every k is an integer of at most 2^53,
+    hence an exact double, so each float comparison is the integer one.
+
+    All ``count`` draws are scaled, checked and bisected in C-level passes.
+    One batched check comes before any bisection: a random() that is not
+    k / 2^53 with 0 <= k < 2^53 (0.1, 1.0, a negative value, inf or NaN)
+    raises ValueError, naming the first such value, instead of being drawn.
 
     Deterministic for a fixed seed.  ``truncated_mass_bound`` is a rigorous
     upper bound on the true measure of partitions outside the support,
@@ -377,21 +395,21 @@ def sample(
     raw_mass = truncated_prefactor(family, params) * total
     bound = truncated_mass_bound(params, raw_mass)
 
-    thresholds = cdf_thresholds(weights, total)
+    grid = [float(t) for t in cdf_thresholds(weights, total)]  # exact, see above
     rng = random.Random(seed)
-    draws = []
-    for _ in range(count):
-        x = rng.random() * RANDOM_SCALE  # exact: a power-of-two scaling
-        k = int(x)
-        if k != x or not 0 <= k < RANDOM_SCALE:
-            raise ValueError(f"random() returned {x / RANDOM_SCALE!r}, not k / 2^53 in [0, 1)")
-        draws.append(support[bisect_right(thresholds, k)])  # thresholds[-1] == 2^53 > k
+    # exact: a power-of-two scaling
+    xs = list(map(float(RANDOM_SCALE).__mul__, starmap(rng.random, repeat((), count))))
+    if xs and not (all(map(float.is_integer, xs)) and min(xs) >= 0 and max(xs) < RANDOM_SCALE):
+        x = next(x for x in xs if not (x.is_integer() and 0 <= x < RANDOM_SCALE))
+        raise ValueError(f"random() returned {x / RANDOM_SCALE!r}, not k / 2^53 in [0, 1)")
+    # grid[-1] == 2^53 > every x
+    draws = tuple(map(support.__getitem__, map(bisect_right, repeat(grid), xs)))
     return SampleResult(
         family=family,
         params=params,
         max_size=max_size,
         seed=seed,
-        partitions=tuple(draws),
+        partitions=draws,
         support_probability=raw_mass,
         truncated_mass_bound=bound,
     )

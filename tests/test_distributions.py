@@ -249,8 +249,12 @@ def dyadic_weights(draw):
 def test_thresholds_bisect_as_the_exact_cdf(weights):
     thresholds = cdf_thresholds(weights, sum(weights))
     assert thresholds == sorted(thresholds) and thresholds[-1] == RANDOM_SCALE
+    grid = [float(t) for t in thresholds]  # the grid that sample bisects
+    assert all(g == t for g, t in zip(grid, thresholds))
     for k in _edge_draws(thresholds):
-        assert bisect_right(thresholds, k) == _oracle_index(weights, k)
+        index = bisect_right(thresholds, k)
+        assert index == _oracle_index(weights, k)
+        assert bisect_right(grid, float(k)) == index
 
 
 def test_random_draws_are_integers_after_scaling():
@@ -261,7 +265,7 @@ def test_random_draws_are_integers_after_scaling():
             assert x.is_integer() and 0 <= x < RANDOM_SCALE
 
 
-@pytest.mark.parametrize("value", [0.1, 1.0, -(2.0**-53)])
+@pytest.mark.parametrize("value", [0.1, 1.0, -(2.0**-53), float("inf"), float("nan")])
 def test_sample_refuses_a_draw_off_the_grid(monkeypatch, params, value):
     """A random() that is not k / 2^53 with 0 <= k < 2^53 raises instead of
     being drawn as some other partition."""
@@ -273,6 +277,55 @@ def test_sample_refuses_a_draw_off_the_grid(monkeypatch, params, value):
     monkeypatch.setattr(random, "Random", Off)
     with pytest.raises(ValueError, match="2\\^53"):
         sample(Family.SP, params, 6, 3, 0)
+
+
+def _per_draw(support, weights, count, seed):
+    """One draw at a time: k = int(random() * 2^53), bisected on the
+    integer thresholds."""
+    thresholds = cdf_thresholds(weights, sum(weights))
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        k = int(rng.random() * RANDOM_SCALE)
+        draws.append(support[bisect_right(thresholds, k)])
+    return tuple(draws)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(6, 5), Fraction(11, 10)])
+def test_batched_draws_match_the_per_draw_loop(family, q):
+    params = MeasureParams.with_tolerance(q, HALF, TOL)
+    support, weights = support_weights(family, params, 8)
+    for count in (0, 1, 5000):
+        for seed in (0, 13, 29, 2**40 + 7):
+            drawn = sample(family, params, 8, count, seed).partitions
+            assert drawn == _per_draw(support, weights, count, seed)
+
+
+def test_sample_draws_the_exact_cdf_at_every_threshold(monkeypatch, params):
+    """random() = k / 2^53 at k = T_i - 1 and k = T_i for every threshold:
+    the draws sit on both sides of each CDF step, as the integer bisection
+    and the exact rational CDF put them."""
+    support, weights = support_weights(Family.O, params, 8)
+    ks = _edge_draws(cdf_thresholds(weights, sum(weights)))
+
+    class Edges(random.Random):
+        draws = iter(ks)
+
+        def random(self):
+            return next(self.draws) / RANDOM_SCALE
+
+    monkeypatch.setattr(random, "Random", Edges)
+    drawn = sample(Family.O, params, 8, len(ks), 0).partitions
+    assert drawn == tuple(support[_oracle_index(weights, k)] for k in ks)
+
+
+def test_draws_share_one_rendering_per_partition(params):
+    res = sample(Family.SP, params, 6, 500, 42)
+    calls = []
+    rows = res.render_draws(lambda p: calls.append(p) or p.to_json())
+    assert rows == [p.to_json() for p in res.partitions]
+    assert len(calls) == len({id(p) for p in res.partitions}) < len(res.partitions)
 
 
 def test_sample_matches_the_fraction_cdf_near_q_one():

@@ -17,7 +17,9 @@ each displayed shape of the identity chain got one builder and before
 ``normalization_check`` summed the literal first columns.  The two 200000-draw
 ``dist sample`` digests, the benchmark's printable sample runs, were recorded
 while the sampler still bisected a Fraction CDF, before it moved onto
-integer thresholds.  Any change to arithmetic, canonical forms or
+integer thresholds.  The two ``--format text`` dist digests were recorded
+while the text sampler printed one line per draw and ``dist eval`` added the
+probabilities one at a time.  Any change to arithmetic, canonical forms or
 serialization that alters a single output byte fails here.
 """
 
@@ -121,6 +123,12 @@ GOLDEN = {
     ),
     "dist sample --family o --q 6/5 --u 1/2 --max-size 16 --count 200000 --seed 13": (
         "7eca928cf94bcee40aa5a066bcaa6e0bb748c93216e360d8a2d1e22dd7e18cdd"
+    ),
+    "dist sample --family sp --q 2 --u 1/2 --max-size 6 --count 50 --seed 42 --format text": (
+        "9de5027002ca0c1eae740b19b717f865031e08b9d33e59e3c02a0f8ad406ab25"
+    ),
+    "dist eval --family o --q 6/5 --u 1/2 --max-size 6 --format text": (
+        "3fa8fe45aaf5923d427bc3922d67347ffc737c4459a18b9b38f307366b134cfb"
     ),
 }
 
