@@ -235,24 +235,39 @@ class Cleared:
         return RationalFunction(Polynomial(top), Polynomial(bottom))
 
     def evaluate(self, point) -> Fraction:
-        """Exact value at a rational point q; at q = 0 or where a
-        denominator factor vanishes, the canonical value decides (a value or
-        PoleError)."""
+        """Exact value at a rational point q = a/b, so x = b/a, in one
+        integer pass: a^d N(b/a) = sum_i c_i b^i a^(d-i) by Horner, each
+        factor (1 - x^j)^(-e_j) as (a^j)^(e_j) over (a^j - b^j)^(e_j), and
+        the shift as powers of a and b, giving one Fraction.  At q = 0 or
+        where a denominator factor vanishes, the canonical value decides (a
+        value or PoleError)."""
         point = Fraction(point)
         if not self.num:
             return Fraction(0)
-        if point:
-            x = 1 / point
-            value = Fraction(0)
+        a, b = point.numerator, point.denominator
+        if a:
+            top, a_power = 0, 1
             for c in reversed(self.num):
-                value = value * x + c
+                top = top * b + c * a_power
+                a_power *= a
+            # top / a^d is N(x); the powers of a and b still owed
+            bottom, a_exp, b_exp = 1, 1 - len(self.num) - self.shift, self.shift
             for j, e in self.exps:
-                factor = 1 - x**j
-                if e > 0 and not factor:
-                    break
-                value *= factor ** -e
+                factor = a**j - b**j  # a^j (1 - x^j)
+                if e > 0:
+                    if not factor:
+                        break
+                    bottom *= factor**e
+                else:
+                    top *= factor**-e
+                a_exp += j * e
             else:
-                return value * x**self.shift
+                for base, e in ((a, a_exp), (b, b_exp)):
+                    if e >= 0:
+                        top *= base**e
+                    else:
+                        bottom *= base**-e
+                return Fraction(top, bottom)
         return self.to_rational().evaluate(point)
 
     # -- arithmetic -------------------------------------------------------

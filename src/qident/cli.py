@@ -41,8 +41,13 @@ _MINIMUM = {
 }
 
 
+def _json(obj) -> str:
+    """The canonical compact JSON text of every stdout row."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    print(_json(obj))
 
 
 def _fraction(text: str) -> Fraction:
@@ -201,11 +206,16 @@ def cmd_dist_eval(args) -> int:
 
 
 def cmd_dist_sample(args) -> int:
+    if args.seed < 0:  # not in _MINIMUM: verify qseries accepts negative seeds
+        raise _Usage(f"--seed must be at least 0, got {args.seed}")
     family = Family(args.family)
     params = _measure_params(args)
     result = distributions.sample(family, params, args.max_size, args.count, args.seed)
     if args.format == "json":
-        _emit(result.to_json_dict())
+        # the to_json_dict() text, assembled from one rendering per drawn partition
+        meta = _json(result.metadata())
+        rows = ",".join(result.render_draws(lambda p: _json(p.to_json())))
+        print(f'{{"metadata":{meta},"samples":[{rows}]}}')
     else:
         sys.stdout.write("".join(result.render_draws(lambda p: f"{p.to_json()}\n")))
         print(

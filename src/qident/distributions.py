@@ -298,41 +298,51 @@ def truncated_distribution(
 
 @dataclass(frozen=True)
 class SampleResult:
-    """Draws from the truncated measure plus the truncation accounting."""
+    """Draws from the truncated measure plus the truncation accounting.
+
+    The draws are kept as ``indices`` into ``support``, the enumerated
+    truncated support; ``partitions`` maps them to the partitions."""
 
     family: Family
     params: MeasureParams
     max_size: int
     seed: int
-    partitions: tuple[Partition, ...]
+    support: tuple[Partition, ...]
+    indices: tuple[int, ...]
     support_probability: Fraction
     truncated_mass_bound: Fraction
 
+    @property
+    def partitions(self) -> tuple[Partition, ...]:
+        return tuple(map(self.support.__getitem__, self.indices))
+
     def render_draws(self, render) -> list:
-        """``render(p)`` for every draw p, in draw order.  Every draw is one
-        of the support's partition objects, so ``render`` runs once per
-        distinct object and its result is shared by all of that object's
-        draws."""
-        keys = list(map(id, self.partitions))
-        rendered = {key: render(p) for key, p in dict(zip(keys, self.partitions)).items()}
-        return list(map(rendered.__getitem__, keys))
+        """``render(p)`` for every draw p, in draw order.  ``render`` runs
+        once per distinct drawn index and its result is shared by all of
+        that index's draws."""
+        rendered = {i: render(self.support[i]) for i in set(self.indices)}
+        return list(map(rendered.__getitem__, self.indices))
+
+    def metadata(self) -> dict:
+        """The parameters and the truncation accounting, as JSON values."""
+        return {
+            "family": self.family.value,
+            "params": {
+                "q": str(self.params.q),
+                "u": str(self.params.u),
+                "product_cutoff": self.params.product_cutoff,
+                "tail_tolerance": str(self.params.tail_tolerance),
+            },
+            "max_size": self.max_size,
+            "seed": self.seed,
+            "support_probability": str(self.support_probability),
+            "truncated_mass_bound": str(self.truncated_mass_bound),
+        }
 
     def to_json_dict(self) -> dict:
         return {
             "samples": self.render_draws(Partition.to_json),
-            "metadata": {
-                "family": self.family.value,
-                "params": {
-                    "q": str(self.params.q),
-                    "u": str(self.params.u),
-                    "product_cutoff": self.params.product_cutoff,
-                    "tail_tolerance": str(self.params.tail_tolerance),
-                },
-                "max_size": self.max_size,
-                "seed": self.seed,
-                "support_probability": str(self.support_probability),
-                "truncated_mass_bound": str(self.truncated_mass_bound),
-            },
+            "metadata": self.metadata(),
         }
 
 
@@ -370,9 +380,9 @@ def sample(
     """Inverse-CDF draws over the enumerated truncated support.
 
     Each draw takes k = random() * 2^53, an exact integer below 2^53, and
-    returns the support partition at ``bisect_right(T, k)`` over the
+    is kept as the support index ``bisect_right(T, k)`` over the
     ``cdf_thresholds`` T.  Since cdf_i > k / 2^53 exactly when T_i > k, this
-    is the partition the exact rational CDF gives at random(); the last
+    is the index the exact rational CDF gives at random(); the last
     threshold, 2^53, exceeds every k.  The bisection runs on the float grid
     ``float(T_i)``: every T_i and every k is an integer of at most 2^53,
     hence an exact double, so each float comparison is the integer one.
@@ -382,12 +392,16 @@ def sample(
     k / 2^53 with 0 <= k < 2^53 (0.1, 1.0, a negative value, inf or NaN)
     raises ValueError, naming the first such value, instead of being drawn.
 
-    Deterministic for a fixed seed.  ``truncated_mass_bound`` is a rigorous
-    upper bound on the true measure of partitions outside the support,
-    combining the enumerated mass with the prefactor tail bound.
+    Deterministic for a fixed seed.  A negative seed raises ValueError:
+    ``random.Random`` seeds an int from its absolute value, so -s would
+    repeat the draws of s.  ``truncated_mass_bound`` is a rigorous upper
+    bound on the true measure of partitions outside the support, combining
+    the enumerated mass with the prefactor tail bound.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     support, weights = support_weights(family, params, max_size)
     total = sum(weights)
     if total <= 0:
@@ -403,13 +417,13 @@ def sample(
         x = next(x for x in xs if not (x.is_integer() and 0 <= x < RANDOM_SCALE))
         raise ValueError(f"random() returned {x / RANDOM_SCALE!r}, not k / 2^53 in [0, 1)")
     # grid[-1] == 2^53 > every x
-    draws = tuple(map(support.__getitem__, map(bisect_right, repeat(grid), xs)))
     return SampleResult(
         family=family,
         params=params,
         max_size=max_size,
         seed=seed,
-        partitions=draws,
+        support=tuple(support),
+        indices=tuple(map(bisect_right, repeat(grid), xs)),
         support_probability=raw_mass,
         truncated_mass_bound=bound,
     )

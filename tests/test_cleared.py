@@ -11,11 +11,18 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qident import cleared, identities as idn, qseries, rational
 from qident.cleared import ONE, ZERO, Cleared, csum
-from qident.partitions import ParityConstraint, enumerate_partitions, summand_weight
+from qident.distributions import Family
+from qident.partitions import (
+    ParityConstraint,
+    cl_numerator,
+    enumerate_partitions,
+    kernel_weight,
+    summand_weight,
+)
 from qident.qseries import (
     coeff_u_lemma,
     limit_two_phi_one,
@@ -113,6 +120,31 @@ def test_evaluate_is_exact(a, point):
             a.evaluate(point)
     else:
         assert a.evaluate(point) == expected
+
+
+OFF_POINTS = (-1, -2, Fraction(-3, 7), Fraction(11, 10), Fraction(101, 100))
+
+
+@settings(deadline=None)
+@given(elements, st.sampled_from(OFF_POINTS))
+@example(Cleared([1, 2], 1, {2: -1, 3: 1}), -1)  # (1 - x^2) vanishes at x = -1
+def test_integer_evaluate_matches_oracle_at_negative_points_and_near_one(a, point):
+    try:
+        expected = oracle(a).evaluate(point)
+    except PoleError:
+        with pytest.raises(PoleError):
+            a.evaluate(point)
+    else:
+        assert a.evaluate(point) == expected
+
+
+@pytest.mark.parametrize("point", [2, Fraction(6, 5), Fraction(11, 10), -3])
+def test_kernel_weight_evaluates_as_cl_numerator(point):
+    for family in Family:
+        for n in range(11):
+            for p in enumerate_partitions(n, family.constraint):
+                expected = cl_numerator(p, family.sign)[0].evaluate(point)
+                assert kernel_weight(p, family.sign).evaluate(point) == expected
 
 
 def test_units_are_recognized():

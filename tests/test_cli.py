@@ -1,10 +1,12 @@
 """CLI behavior: output formats, determinism, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from qident import cli, identities
+from qident import cli, distributions, identities
+from qident.distributions import Family, MeasureParams
 from qident.rational import q_power
 
 
@@ -170,6 +172,53 @@ def test_rejects_out_of_range_numbers(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{argv[-2]} must be at least" in captured.err
+
+
+def test_dist_sample_rejects_a_negative_seed(capsys):
+    # random.Random(-5) draws as random.Random(5): the run would print the
+    # draws of --seed 5 and echo "seed":-5
+    with pytest.raises(SystemExit) as exc:
+        cli.main(
+            ["dist", "sample", "--family", "sp", "--q", "2", "--u", "1/2", "--seed", "-5"]
+        )
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed must be at least 0, got -5" in captured.err
+
+
+def test_verify_qseries_keeps_negative_seeds_distinct(capsys):
+    # verify qseries seeds from strings, so --seed -5 is a stream of its own
+    args = ("verify", "qseries", "--qseries-n-max", "2", "--tuples-per-n", "4")
+    code, negative = run_cli(capsys, *args, "--seed", "-5")
+    assert code == 0
+    code, positive = run_cli(capsys, *args, "--seed", "5")
+    assert code == 0
+    assert negative.replace('"seed":-5', '"seed":5') != positive
+
+
+@pytest.mark.parametrize("family", ["sp", "o"])
+@pytest.mark.parametrize("q", ["2", "6/5"])
+def test_dist_sample_json_is_the_structural_form(capsys, family, q):
+    """The JSON stdout, assembled from per-partition texts, is the canonical
+    dump of ``to_json_dict``, and the draws are support indices."""
+    params = MeasureParams.with_tolerance(
+        Fraction(q), Fraction(1, 2), cli._DEFAULT_TAIL_TOLERANCE
+    )
+    for count in (0, 1, 2000):
+        for seed in (0, 13, 42):
+            code, out = run_cli(
+                capsys, "dist", "sample", "--family", family, "--q", q, "--u", "1/2",
+                "--max-size", "8", "--count", str(count), "--seed", str(seed),
+            )
+            assert code == 0
+            result = distributions.sample(Family(family), params, 8, count, seed)
+            expected = json.dumps(result.to_json_dict(), sort_keys=True, separators=(",", ":"))
+            assert out == expected + "\n"
+            support, indices = result.support, result.indices
+            assert len(indices) == count
+            assert all(type(i) is int and 0 <= i < len(support) for i in indices)
+            assert result.partitions == tuple(support[i] for i in indices)
 
 
 def test_verify_rejects_malformed_m_max_env(capsys, monkeypatch):

@@ -180,6 +180,12 @@ def test_sample_empty_and_deterministic(params):
     assert a.partitions != c.partitions  # different seed, different stream
 
 
+def test_sample_refuses_a_negative_seed(params):
+    # random.Random(-5) seeds from |-5| and would repeat the draws of seed 5
+    with pytest.raises(ValueError, match="seed"):
+        sample(Family.SP, params, 6, 5, -5)
+
+
 def test_sample_mass_accounting(params):
     res = sample(Family.O, params, 5, 10, 1)
     assert 0 <= res.truncated_mass_bound < Fraction(1, 10)
