@@ -217,13 +217,8 @@ class Cleared:
         """The canonical RationalFunction of this value."""
         if not self.num:
             return RationalFunction.zero()
-        top, bottom = list(self.num), [1]
-        for j, e in self.exps:
-            for _ in range(abs(e)):
-                if e < 0:
-                    top = _times_one_minus(top, j)
-                else:
-                    bottom = _times_one_minus(bottom, j)
+        top = _expand(list(self.num), self.exps, {j: max(e, 0) for j, e in self.exps})
+        bottom = _expand([1], (), {j: e for j, e in self.exps if e > 0})
         # x^s top(x) / bottom(x) = q^t rev(top)(q) / rev(bottom)(q)
         t = len(bottom) - len(top) - self.shift
         top.reverse()

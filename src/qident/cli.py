@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import distributions, identities
 from .distributions import Family, MeasureParams
-from .partitions import ParityConstraint, enumerate_partitions, summand_weight
+from .partitions import ParityConstraint, enumerate_partitions
 from .qseries import DEFAULT_SEED, random_hypergeometric_reports
 from .report import VerificationReport
 
@@ -153,11 +153,12 @@ def cmd_partitions(args) -> int:
     constraint = ParityConstraint(args.constraint)
     sign = None if args.weights == "none" else Family(args.weights).sign
     for p in enumerate_partitions(args.n, constraint):
-        weight = summand_weight(p, sign) if sign is not None else None
+        # the kernel weight, printed through its canonical Q(q) form
+        weight = identities.summand_weight(p, sign) if sign is not None else None
         if args.format == "json":
             row = {"partition": p.to_json()}
             if sign is not None:
-                row["weight"] = weight.as_dict()
+                row["weight"] = weight.to_rational().as_dict()
             _emit(row)
         else:
             line = str(p.to_json())

@@ -38,7 +38,7 @@ from itertools import repeat, starmap
 
 from .cleared import ONE, ZERO, csum, pochhammer_inv_q2, q_power
 from .partitions import ParityConstraint, Partition, enumerate_partitions, kernel_weight
-from .qseries import TruncatedSeries, reciprocal_pochhammer_series
+from .qseries import TruncatedSeries, pochhammer, reciprocal_pochhammer_series
 from .report import VerificationReport
 
 
@@ -126,13 +126,11 @@ class MeasureParams:
 
 
 def truncated_prefactor(family: Family, params: MeasureParams) -> Fraction:
-    """prod_{i=1}^{cutoff} (1 - u^2/q^{2i-1}), divided by 1+u for O."""
-    value = Fraction(1)
-    for i in range(1, params.product_cutoff + 1):
-        value *= 1 - params.u**2 / params.q ** (2 * i - 1)
-    if family is Family.O:
-        value /= 1 + params.u
-    return value
+    """prod_{i=1}^{cutoff} (1 - u^2/q^{2i-1}) = (u^2/q; 1/q^2)_cutoff,
+    divided by 1+u for O."""
+    q, u = params.q, params.u
+    value = pochhammer(u**2 / q, 1 / q**2, params.product_cutoff)
+    return value / (1 + u) if family is Family.O else value
 
 
 @dataclass(frozen=True)
@@ -207,7 +205,9 @@ def first_column_marginal(family: Family, column: int, order: int) -> TruncatedS
 def marginal_vs_bruteforce(family: Family, k_max: int, order: int) -> VerificationReport:
     """Compare every marginal coefficient of u^j (j <= order) for first
     columns up to 2*k_max against direct enumeration of the partitions in
-    that class."""
+    that class; a negative k_max, which compares nothing, raises ValueError."""
+    if k_max < 0:
+        raise ValueError("k_max must be at least 0")
     report = VerificationReport(
         f"marginals-{family.value}", params={"k_max": k_max, "order": order}
     )

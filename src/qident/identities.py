@@ -38,9 +38,10 @@ kernel through the generic ``qseries.pochhammer`` and
 ``qseries.terminating_sum``, and ``term_d`` through ``TruncatedSeries``.
 The values interoperate with ``RationalFunction`` (``to_rational``, ``str``
 and ``evaluate`` are the canonical ones).  ``coeff_u_lemma`` and
-``summand_weight`` are the kernel counterparts of ``qseries.coeff_u_lemma``
-and ``partitions.summand_weight`` (the weights the CLI prints), which stay
-on ``RationalFunction`` as the independent route.
+``summand_weight`` (the weights ``partitions --weights`` prints) are the
+kernel counterparts of ``qseries.coeff_u_lemma`` and
+``partitions.summand_weight``, which stay on ``RationalFunction`` as the
+independent route.
 """
 
 from __future__ import annotations
@@ -337,11 +338,15 @@ CHECKS: dict[str, Callable[[int], VerificationReport]] = {}
 def _check(identity: str):
     """Register a generator of (index, lhs, rhs) rows as the check of
     ``identity``.  The decorated name becomes the check: a function of m_max
-    that records every row, in order, in one VerificationReport."""
+    that records every row, in order, in one VerificationReport.  An m_max
+    below 1 raises ValueError, since some checks would then compare
+    nothing."""
 
     def register(rows):
         @wraps(rows)
         def check(m_max: int) -> VerificationReport:
+            if m_max < 1:
+                raise ValueError("m_max must be at least 1")
             report = VerificationReport(identity, params={"m_max": m_max})
             for index, lhs, rhs in rows(m_max):
                 report.record(index, lhs, rhs)
@@ -495,8 +500,6 @@ def verify_all(
 ) -> list[VerificationReport]:
     """Run every identity check for m up to m_max plus the randomized
     hypergeometric sweeps; returns the reports in a stable order."""
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
     reports = [check(m_max) for check in CHECKS.values()]
     reports.extend(
         random_hypergeometric_reports(

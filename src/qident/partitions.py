@@ -9,10 +9,11 @@ Two parity constraints matter here: "every odd part has even multiplicity"
 (the symplectic side, weight exponent sign +1) and "every even part has
 even multiplicity" (the orthogonal side, sign -1).
 
-``summand_weight`` and ``cl_numerator`` compute the weights in Q(q), the
-independent route and what ``partitions --weights`` prints;
-``kernel_weight`` and ``identities.summand_weight`` build them on the
-integer kernel from ``multiplicity_factors``.
+``kernel_weight`` and ``identities.summand_weight`` build the weights on
+the integer kernel from ``multiplicity_factors``; they are what the
+package computes with and what ``partitions --weights`` prints.
+``summand_weight`` and ``cl_numerator`` compute the same weights in Q(q),
+the independent route the tests check the kernel against.
 """
 
 from __future__ import annotations

@@ -1,10 +1,17 @@
 """Exact arithmetic in the rational-function field Q(q).
 
+Q(q) is the reference route of the package: the identity chain, the series
+and the sampler compute on the integer kernel (``cleared.Cleared``), and
+this module is what the tests check that kernel against, the canonical
+printer of every value (``str``, ``as_dict``) and the target of
+``Cleared.to_rational``.  Its arithmetic is the textbook one: each operation
+forms the plain numerator and denominator, and ``RationalFunction`` alone
+cancels their gcd and makes the denominator monic.
+
 A Polynomial is a dense tuple of coefficients indexed by degree (ascending,
 no trailing zeros; the zero polynomial is the empty tuple).  A coefficient
 is stored as an ``int`` when it is integral and as a ``Fraction`` otherwise,
-never as a float; the identity chain's coefficients are small integers, so
-most arithmetic stays in ``int``.
+never as a float.
 A RationalFunction is a coprime numerator/denominator pair with monic
 denominator.  Both representations are canonical, so mathematical equality
 is structural equality -- which is what makes ``==`` a sound identity check.
@@ -35,8 +42,6 @@ def _strip(coeffs: list) -> tuple:
     """Drop trailing zeros and store each integral coefficient as an int."""
     while coeffs and not coeffs[-1]:
         coeffs.pop()
-    # tuple() of a list allocates once at the exact size; of a generator it
-    # guesses and resizes, which raised peak memory on the identity chain
     return tuple(
         [c if type(c) is int or c.denominator != 1 else c.numerator for c in coeffs]
     )
@@ -218,59 +223,42 @@ _P_ONE = Polynomial((1,))
 
 def _primitive_ints(p: Polynomial) -> list[int]:
     """Integer coefficient list of a scalar multiple of p, with content 1."""
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = math.lcm(*[c.denominator for c in p.coeffs])
     ints = [c.numerator * (lcm // c.denominator) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return ints
 
 
 def _int_prem(u: list[int], v: list[int]) -> list[int]:
-    """Pseudo-remainder of u by v over the integers (v nonzero)."""
+    """Pseudo-remainder of u by v over the integers (v nonzero): the
+    remainder of u by v times a nonzero integer.  A step scales the partial
+    remainder by v's leading coefficient only when the leading term is not
+    already a multiple of it, so a unit leading coefficient never scales."""
     n = len(v) - 1
     lv = v[-1]
     r = list(u)
     while len(r) - 1 >= n:
         c = r[-1]
+        f, rest = divmod(c, lv)
+        if rest:
+            r = [x * lv for x in r]
+            f = c
         d = len(r) - 1 - n
-        r = [x * lv for x in r]
-        for i, vi in enumerate(v):
-            r[d + i] -= c * vi
+        r[d:] = [x - f * y for x, y in zip(r[d:], v)]
         r.pop()  # leading term cancels exactly
         while r and r[-1] == 0:
             r.pop()
-        if not r:
-            break
     return r
 
 
-def _low_degree(p: Polynomial) -> int:
-    """Lowest degree with a nonzero coefficient (p nonzero)."""
-    for d, c in enumerate(p.coeffs):
-        if c:
-            return d
-
-
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor in Q[q].
-
-    When one argument is a monomial c*q^d (a nonzero constant is d = 0),
-    the gcd is q^min(d, v) with v the lowest degree present in the other
-    argument; all other inputs go through ``_prs_gcd``.
-    """
+    """Monic greatest common divisor in Q[q]; gcd(0, 0) is 0."""
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    va, vb = _low_degree(a), _low_degree(b)
-    if va == a.degree or vb == b.degree:
-        e = min(va, vb)
-        return _P_ONE if e == 0 else Polynomial.monomial(e)
     return _prs_gcd(a, b)
 
 
@@ -288,12 +276,9 @@ def _prs_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         u, v = v, u
     while v:
         r = _int_prem(u, v)
-        if r:
-            g = 0
-            for x in r:
-                g = math.gcd(g, x)
-            if g > 1:
-                r = [x // g for x in r]
+        g = math.gcd(*r)
+        if g > 1:
+            r = [x // g for x in r]
         u, v = v, r
     lead = u[-1]
     return Polynomial(Fraction(c, lead) for c in u)
@@ -331,23 +316,6 @@ class RationalFunction:
         self.num, self.den = num, den
 
     @classmethod
-    def _from_coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """Fast path when num and den are already known to be coprime."""
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        self = cls.__new__(cls)
-        if num.is_zero:
-            self.num, self.den = _P_ZERO, _P_ONE
-            return self
-        lead = den.leading
-        if lead != 1:
-            inv = Fraction(1, lead)
-            num = num.scale(inv)
-            den = den.scale(inv)
-        self.num, self.den = num, den
-        return self
-
-    @classmethod
     def zero(cls) -> "RationalFunction":
         return RF_ZERO
 
@@ -366,10 +334,9 @@ class RationalFunction:
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        g = poly_gcd(self.den, other.den)
-        db = _exact_div(other.den, g) if g.degree > 0 else other.den
-        da = _exact_div(self.den, g) if g.degree > 0 else self.den
-        return RationalFunction(self.num * db + other.num * da, self.den * db)
+        return RationalFunction(
+            self.num * other.den + other.num * self.den, self.den * other.den
+        )
 
     __radd__ = __add__
 
@@ -394,22 +361,14 @@ class RationalFunction:
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        if self.is_zero or other.is_zero:
-            return RF_ZERO
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = _exact_div(self.num, g1) if g1.degree > 0 else self.num
-        d2 = _exact_div(other.den, g1) if g1.degree > 0 else other.den
-        n2 = _exact_div(other.num, g2) if g2.degree > 0 else other.num
-        d1 = _exact_div(self.den, g2) if g2.degree > 0 else self.den
-        return RationalFunction._from_coprime(n1 * n2, d1 * d2)
+        return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "RationalFunction":
         if self.is_zero:
             raise ZeroDivisionError("reciprocal of zero")
-        return RationalFunction._from_coprime(self.den, self.num)
+        return RationalFunction(self.den, self.num)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -431,8 +390,8 @@ class RationalFunction:
         if e < 0:
             if self.is_zero:
                 raise ZeroDivisionError("zero base with negative exponent")
-            return RationalFunction._from_coprime(self.den ** -e, self.num ** -e)
-        return RationalFunction._from_coprime(self.num ** e, self.den ** e)
+            return RationalFunction(self.den ** -e, self.num ** -e)
+        return RationalFunction(self.num ** e, self.den ** e)
 
     def evaluate(self, point: Scalar) -> Fraction:
         """Exact value at a rational point; raises PoleError on a pole."""
@@ -501,40 +460,21 @@ def as_rational(value) -> RationalFunction:
     return rf
 
 
-RF_ZERO = RationalFunction._from_coprime(_P_ZERO, _P_ONE)
-RF_ONE = RationalFunction._from_coprime(_P_ONE, _P_ONE)
+RF_ZERO = RationalFunction(_P_ZERO)
+RF_ONE = RationalFunction(_P_ONE)
 
 #: The distinguished field generator q.
-q = RationalFunction._from_coprime(Polynomial.monomial(1), _P_ONE)
+q = RationalFunction(Polynomial.monomial(1))
 
 
 def q_power(e: int) -> RationalFunction:
     """The monomial q^e for any integer e, negative exponents included."""
     if e >= 0:
-        return RationalFunction._from_coprime(Polynomial.monomial(e), _P_ONE)
-    return RationalFunction._from_coprime(_P_ONE, Polynomial.monomial(-e))
+        return RationalFunction(Polynomial.monomial(e))
+    return RationalFunction(_P_ONE, Polynomial.monomial(-e))
 
 
 def rf_sum(terms: Iterable[RationalFunction]) -> RationalFunction:
-    """Sum many field elements with one final normalization.
-
-    Accumulates over a running common denominator (reducing denominators
-    against each other but not numerator against denominator), which is
-    substantially faster than repeated binary ``+`` for the long structured
-    sums arising from partition enumeration.
-    """
-    num = _P_ZERO
-    den = _P_ONE
-    for t in terms:
-        t = as_rational(t)
-        if t.is_zero:
-            continue
-        g = poly_gcd(den, t.den)
-        if g.degree > 0:
-            db = _exact_div(t.den, g)
-            da = _exact_div(den, g)
-        else:
-            db, da = t.den, den
-        num = num * db + t.num * da
-        den = den * db
-    return RationalFunction(num, den)
+    """The sum of the terms, each coerced by ``as_rational``, by binary
+    ``+``; an empty sum is zero."""
+    return sum(map(as_rational, terms), RF_ZERO)

@@ -7,6 +7,7 @@ import pytest
 
 from qident import cli, distributions, identities
 from qident.distributions import Family, MeasureParams
+from qident.partitions import ParityConstraint, enumerate_partitions, summand_weight
 from qident.rational import q_power
 
 
@@ -102,6 +103,27 @@ def test_partitions_weights_match_formulas(capsys):
         q_power(-3).as_dict(),
     ]
     assert [r["weight"] for r in rows] == expected
+
+
+@pytest.mark.parametrize("constraint", ["none", "odd-even-mult", "even-even-mult"])
+@pytest.mark.parametrize("family", ["sp", "o"])
+def test_partitions_weights_match_reference(capsys, constraint, family):
+    """Every printed weight, JSON and text, is the Q(q) reference weight."""
+    sign = Family(family).sign
+    for n in range(9):
+        argv = ["partitions", "--n", str(n), "--constraint", constraint, "--weights", family]
+        parts = enumerate_partitions(n, ParityConstraint(constraint))
+        expected = [summand_weight(p, sign) for p in parts]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [r["partition"] for r in rows] == [p.to_json() for p in parts]
+        assert [r["weight"] for r in rows] == [w.as_dict() for w in expected]
+        code, out = run_cli(capsys, *argv, "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [
+            f"{p.to_json()}  weight={w}" for p, w in zip(parts, expected)
+        ]
 
 
 def test_dist_sample_deterministic(capsys):

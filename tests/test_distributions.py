@@ -369,3 +369,10 @@ def test_series_and_weights_run_without_rational_functions(monkeypatch):
         assert len(support) == len(weights) and all(w > 0 for w in weights)
         for p in enumerate_partitions(6):
             prob(p, fam, params)
+
+
+@pytest.mark.parametrize("fam", list(Family))
+def test_marginal_vs_bruteforce_refuses_negative_k_max(fam):
+    # k_max = -1 has no column to compare, so it would pass vacuously
+    with pytest.raises(ValueError, match="k_max"):
+        marginal_vs_bruteforce(fam, -1, 4)

@@ -150,6 +150,24 @@ def test_evaluation_is_a_homomorphism(a, b, point):
         assert (a / b).evaluate(point) == va / vb
 
 
+def assert_reduced(f):
+    assert poly_gcd(f.num, f.den) == Polynomial.one()
+    assert f.den.leading == 1
+
+
+@given(rationals, rationals, st.integers(min_value=-3, max_value=3))
+def test_every_result_is_reduced(a, b, e):
+    """Each operation builds its plain numerator and denominator, so the
+    constructor alone must leave them coprime with a monic denominator."""
+    results = [a + b, a - b, a * b, rf_sum([a, b, a * b])]
+    if not b.is_zero:
+        results.append(a / b)
+    if e >= 0 or not a.is_zero:
+        results.append(a**e)
+    for f in results:
+        assert_reduced(f)
+
+
 @given(rationals)
 def test_hash_consistent_with_equality(a):
     b = RationalFunction(a.num, a.den)

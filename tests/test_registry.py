@@ -105,3 +105,11 @@ def test_checked_counts_match_index_ranges(m_max):
 def test_every_check_compares_something_at_m_max_1():
     for identity, check in idn.CHECKS.items():
         assert check(1).n_checked >= 1, identity
+
+
+@pytest.mark.parametrize("m_max", [0, -1])
+@pytest.mark.parametrize("identity", list(idn.CHECKS))
+def test_check_refuses_m_max_below_one(identity, m_max):
+    # A2_SUM, B2_SUM and FINAL_COMBINE would compare nothing and pass
+    with pytest.raises(ValueError, match="m_max must be at least 1"):
+        idn.CHECKS[identity](m_max)
