@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import distributions, identities
 from .distributions import Family, MeasureParams
@@ -39,6 +40,11 @@ _MINIMUM = {
     "max_size": 0,
     "count": 0,
 }
+
+# Largest accepted value of an integer option, by argparse dest: the draws
+# of ``dist sample`` are held in memory, about 47 bytes each, before any
+# output.
+_MAXIMUM = {"count": 10_000_000}
 
 
 def _json(obj) -> str:
@@ -104,7 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     dsample = dist_sub.add_parser("sample", help="draw partitions")
     add_dist_args(dsample)
-    dsample.add_argument("--count", type=int, default=10)
+    dsample.add_argument(
+        "--count", type=int, default=10,
+        help=f"number of draws, at most {_MAXIMUM['count']} (default: 10)",
+    )
     dsample.add_argument("--seed", type=int, default=DEFAULT_SEED)
     dsample.set_defaults(func=cmd_dist_sample)
 
@@ -240,19 +249,29 @@ def _check_numbers(args) -> None:
             raise _Usage(f"QIDENT_M_MAX must be an integer, got {text!r}") from None
     for dest, low in _MINIMUM.items():
         value = getattr(args, dest, None)
-        if value is not None and value < low:
-            flag = "--" + dest.replace("_", "-")
+        if value is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if value < low:
             raise _Usage(f"{flag} must be at least {low}, got {value}")
+        if value > _MAXIMUM.get(dest, value):
+            raise _Usage(f"{flag} must be at most {_MAXIMUM[dest]}, got {value}")
+
+
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         _check_numbers(args)
         return args.func(args)
     except _Usage as exc:
-        parser.error(str(exc))  # exits with status 2
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")  # one stderr line
         return 2  # unreachable; keeps type-checkers happy
 
 

@@ -2,8 +2,12 @@
 
 Every check compares two independently computed elements of Q(q):
 
-* the enumeration side sums explicit weights over constrained partitions
-  (``lhs_*``, on ``_enumerated``),
+* the enumeration side sums the partition weights of each size
+  (``lhs_*``), read from a transfer-matrix sweep over the part values
+  (``_sweep``) that shares nothing with the other sides but kernel
+  arithmetic; each check builds its table once, at its m_max, and ANZ2 and
+  ANZ3 share one.  ``_enumerated``, the sum over the enumerated partitions
+  themselves, is the tests' reference for the sweep,
 * the term side rebuilds the same quantity from first-column classes via
   the coefficient-extraction closed form (``term_*`` on ``_column``, and
   their sums ``sum_*``),
@@ -49,7 +53,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import lru_cache, wraps
 
-from .cleared import ZERO, Cleared, csum, pochhammer_inv_q2, q, q_power
+from .cleared import ONE, ZERO, Cleared, csum, pochhammer_inv_q2, q, q_power
 from .partitions import (
     ParityConstraint,
     enumerate_partitions,
@@ -66,12 +70,13 @@ from .qseries import (
 )
 from .report import VerificationReport
 
-#: lru_cache size of the per-m sides: one entry per m, so m = 0..31 stay
-#: cached for each side, which covers ``verify all`` up to m_max = 31.
-_SIDE_CACHE = 32
+#: Cache size of the per-m sides and of term_d's per-k series: one entry per
+#: m (or k), so m = 0..64 stay cached for each side, which covers ``verify
+#: all`` up to m_max = 64.
+_SIDE_CACHE = 65
 #: lru_cache size of the coefficient lemma, keyed by (k, m): ``verify all``
-#: at m_max = M asks for 1 <= k <= m <= M + 1, 528 pairs for M = 31.
-_LEMMA_CACHE = 528
+#: at m_max = M asks for 1 <= k <= m <= M + 1, 2145 pairs for M = 64.
+_LEMMA_CACHE = 2145
 
 
 def _alt_sign(i: int) -> int:
@@ -84,9 +89,76 @@ def _require_range(k: int, lo: int, hi: int) -> None:
         raise ValueError(f"index k={k} outside [{lo}, {hi}]")
 
 
+def _grown(maxsize: int):
+    """Cache ``build(*key, size)`` so that, per key, the value built at the
+    largest size asked for so far answers every smaller size: a caller that
+    asks for its largest size first builds once.  At most ``maxsize`` keys
+    are kept, the oldest dropped first; the cache has lru_cache's
+    ``cache_clear`` and ``cache_parameters``."""
+
+    def decorate(build):
+        built: dict[tuple, tuple] = {}
+
+        @wraps(build)
+        def cached(*args):
+            *key, size = args
+            key = tuple(key)
+            hit = built.get(key)
+            if hit is None or hit[0] < size:
+                if hit is None and len(built) >= maxsize:
+                    del built[next(iter(built))]
+                hit = built[key] = (size, build(*key, size))
+            return hit[1]
+
+        cached.cache_clear = built.clear
+        cached.cache_parameters = lambda: {"maxsize": maxsize, "typed": False}
+        return cached
+
+    return decorate
+
+
 def _enumerated(size: int, constraint: ParityConstraint, sign: int) -> Cleared:
-    """Sum of summand_weight(p, sign) over the partitions p of size under constraint."""
+    """Sum of summand_weight(p, sign) over the partitions p of size under
+    constraint: the reference the tests hold ``_sweep`` to."""
     return csum(summand_weight(p, sign) for p in enumerate_partitions(size, constraint))
+
+
+@_grown(maxsize=2)
+def _sweep(constraint: ParityConstraint, sign: int, n: int) -> tuple[Cleared, ...]:
+    """The enumeration side of every size 0..n at once: entry s is the sum
+    of summand_weight(p, sign) over the partitions p of s under constraint.
+
+    With N_v the number of parts >= v, so that N_1 is the first column,
+    sum_i columns_i^2 = 2 sum_v binom(N_v, 2) + size, and a weight is
+    x^{sum_v binom(N_v, 2) + sum_parts g(p)} (1 - x^{N_1}) over prod_v
+    (x^2;x^2)_{floor(m_v/2)}, with g(p) = ceil(p/2) for sign +1 and
+    floor(p/2) for sign -1.  Every factor but the head depends on one part
+    value v and N_v alone, so a sweep over v = n, ..., 1 with the state
+    (size so far, N_v) sums all the weights; the head is applied at the
+    end, as value - value x^{N_1}, so both halves share one denominator."""
+    g = (lambda v: (v + 1) // 2) if sign == 1 else (lambda v: v // 2)
+    state = {(0, 0): ONE}
+    for v in range(n, 0, -1):
+        # run of mult parts v: x^{mult g(v)} / (x^2;x^2)_{floor(mult/2)}
+        runs = [
+            (mult, Cleared(shift=mult * g(v), exps=[(2 * i, 1) for i in range(1, mult // 2 + 1)]))
+            for mult in range(n // v + 1)
+            if not mult or constraint.admits_run(v, mult)
+        ]
+        buckets: dict[tuple[int, int], list] = {}
+        for (size, count), value in state.items():
+            for mult, run in runs:
+                if size + mult * v > n:
+                    break
+                buckets.setdefault((size + mult * v, count + mult), []).append(value * run)
+        state = {
+            (size, count): csum(terms) * q_power(-(count * (count - 1) // 2))
+            for (size, count), terms in buckets.items()
+        }
+    sides: list[list] = [[] for _ in range(n + 1)]
+    for (size, count), value in state.items():
+        sides[size] += (value, -value * q_power(-count))
+    return tuple(map(csum, sides))
 
 
 def _alternating(m: int, first: int, summand: Callable[[int], Cleared]) -> Cleared:
@@ -137,25 +209,31 @@ def summand_weight(partition, sign: int) -> Cleared:
     return Cleared(shift=weight_exponent(partition, sign), exps=exps)
 
 
+#: The (constraint, sign) of the sweep behind ANZ1, and the one sweep that
+#: ANZ2 (odd sizes) and ANZ3 (even sizes) share.
+_ANZ1 = (ParityConstraint.ODD_PARTS_EVEN_MULTIPLICITY, +1)
+_ANZ23 = (ParityConstraint.EVEN_PARTS_EVEN_MULTIPLICITY, -1)
+
+
 @lru_cache(maxsize=_SIDE_CACHE)
 def lhs_anz1(m: int) -> Cleared:
     """Sum of sign +1 weights over partitions of 2m whose odd parts all
     occur with even multiplicity."""
-    return _enumerated(2 * m, ParityConstraint.ODD_PARTS_EVEN_MULTIPLICITY, +1)
+    return _sweep(*_ANZ1, 2 * m)[2 * m]
 
 
 @lru_cache(maxsize=_SIDE_CACHE)
 def lhs_anz2(m: int) -> Cleared:
     """Sum of sign -1 weights over partitions of 2m+1 whose even parts all
     occur with even multiplicity."""
-    return _enumerated(2 * m + 1, ParityConstraint.EVEN_PARTS_EVEN_MULTIPLICITY, -1)
+    return _sweep(*_ANZ23, 2 * m + 1)[2 * m + 1]
 
 
 @lru_cache(maxsize=_SIDE_CACHE)
 def lhs_anz3(m: int) -> Cleared:
     """Sum of sign -1 weights over partitions of 2m whose even parts all
     occur with even multiplicity."""
-    return _enumerated(2 * m, ParityConstraint.EVEN_PARTS_EVEN_MULTIPLICITY, -1)
+    return _sweep(*_ANZ23, 2 * m)[2 * m]
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +316,24 @@ def term_c(k: int, m: int) -> Cleared:
     return (1 - q_power(1 - 2 * k)) * term_c1(k, m)
 
 
+@_grown(maxsize=_SIDE_CACHE)
+def _d_series(k: int, order: int):
+    """The truncated series of 1/(u/q; 1/q^2)_k through u^order."""
+    return reciprocal_pochhammer_series(q_power(-1), q_power(-2), k, order)
+
+
 def term_d(k: int, m: int) -> Cleared:
     """Even first-column class term of the even-size sign -1 sum.
 
     The coefficient of u^{m-k} is extracted from the truncated series of
     1/(u/q; 1/q^2)_k rather than from the closed form, so the comparison
-    against term_b2 genuinely crosses two computation routes.
+    against term_b2 genuinely crosses two computation routes.  One series
+    per k serves every m: its coefficients do not depend on the order it
+    is truncated at.
     """
     _require_range(k, 1, m)
-    series = reciprocal_pochhammer_series(q_power(-1), q_power(-2), k, m - k)
     head = q_power(-(2 * k * k - k)) / pochhammer_inv_q2(k - 1)
-    return head * series.coefficient(m - k)
+    return head * _d_series(k, m - k).coefficient(m - k)
 
 
 def sum_ab(m: int) -> Cleared:
@@ -360,18 +445,21 @@ def _check(identity: str):
 
 @_check("ANZ1")
 def check_anz1(m_max: int):
+    _sweep(*_ANZ1, 2 * m_max)  # one sweep for every m
     for m in range(m_max + 1):
         yield {"m": m}, lhs_anz1(m), rhs_anz1(m)
 
 
 @_check("ANZ2")
 def check_anz2(m_max: int):
+    _sweep(*_ANZ23, 2 * m_max + 1)
     for m in range(m_max + 1):
         yield {"m": m}, lhs_anz2(m), rhs_anz2(m)
 
 
 @_check("ANZ3")
 def check_anz3(m_max: int):
+    _sweep(*_ANZ23, 2 * m_max + 1)  # the table ANZ2 builds, if it ran first
     for m in range(m_max + 1):
         yield {"m": m}, lhs_anz3(m), rhs_anz3(m)
 
@@ -380,6 +468,7 @@ def check_anz3(m_max: int):
 def check_eq4(m_max: int):
     """The term sum for the sign +1 identity against both the closed right
     side and the enumeration left side (the bridge)."""
+    _sweep(*_ANZ1, 2 * m_max)
     for m in range(m_max + 1):
         total = sum_ab(m)
         yield {"m": m, "route": "terms-vs-closed"}, total, rhs_anz1(m)
@@ -390,6 +479,7 @@ def check_eq4(m_max: int):
 def check_eq5(m_max: int):
     """The c-term sum against both the closed right side and the
     enumeration left side of the odd-size sign -1 identity."""
+    _sweep(*_ANZ23, 2 * m_max + 1)
     for m in range(m_max + 1):
         total = sum_c(m)
         yield {"m": m, "route": "terms-vs-closed"}, total, rhs_anz2(m)
@@ -452,6 +542,9 @@ def check_splits(m_max: int):
 def check_d(m_max: int):
     """d_k = b2_k termwise (series extraction vs closed coefficient), and
     the d sum against both sides of the even-size sign -1 identity."""
+    _sweep(*_ANZ23, 2 * m_max + 1)
+    for k in range(1, m_max + 1):  # one series per k, at its largest order
+        _d_series(k, m_max - k)
     for m in range(1, m_max + 1):
         for k in range(1, m + 1):
             yield {"m": m, "k": k, "route": "d-vs-b2"}, term_d(k, m), term_b2(k, m)

@@ -1,7 +1,11 @@
 """CLI behavior: output formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -258,3 +262,58 @@ def test_verify_m_max_env_default(capsys, monkeypatch):
     assert json.loads(out)["params"] == {"m_max": 2}
     code, out = run_cli(capsys, "verify", "anz1", "--m-max", "1")
     assert json.loads(out)["params"] == {"m_max": 1}
+
+
+def test_dist_sample_refuses_a_count_above_the_cap(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be drawn above the cap")
+
+    monkeypatch.setattr(distributions, "sample", refuse)
+    cap = cli._MAXIMUM["count"]
+    argv = ["dist", "sample", "--family", "sp", "--q", "2", "--u", "1/2", "--count"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, str(cap + 1)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qident: error: --count must be at most {cap}, got {cap + 1}\n"
+
+
+def test_count_cap_is_documented(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["dist", "sample", "--help"])
+    assert f"at most {cli._MAXIMUM['count']}" in capsys.readouterr().out
+
+
+#: One run of each kind, ending in a usage error that exits 2.
+REUSED_PARSER_RUNS = (
+    ["verify", "anz2", "--m-max", "3"],
+    ["dist", "sample", "--family", "o", "--q", "2", "--u", "1/2", "--count", "20", "--seed", "5"],
+    ["partitions", "--n", "5", "--weights", "sp", "--format", "text"],
+    ["verify", "anz1", "--m-max", "0"],
+)
+
+
+def _alone(argv):
+    """stdout and exit code of argv run in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("QIDENT_M_MAX", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "qident", *argv], capture_output=True, text=True, env=env
+    )
+    return done.stdout, done.returncode
+
+
+def test_main_calls_in_one_process_match_calls_run_alone(capsys, monkeypatch):
+    monkeypatch.delenv("QIDENT_M_MAX", raising=False)
+    together = []
+    for argv in REUSED_PARSER_RUNS:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        together.append((capsys.readouterr().out, code))
+    assert [code for _, code in together] == [0, 0, 0, 2]
+    assert together == [_alone(argv) for argv in REUSED_PARSER_RUNS]
+    assert cli._parser() is cli._parser()

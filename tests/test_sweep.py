@@ -1,0 +1,114 @@
+"""The transfer-matrix sweep behind the enumeration sides, and the one
+series per k behind term_d.
+
+``identities._enumerated`` sums the kernel weights of the enumerated
+partitions themselves; it is the reference the sweep is held to here.
+"""
+
+import random
+
+import pytest
+
+from qident import cleared, identities as idn
+from qident.partitions import ParityConstraint
+from qident.qseries import reciprocal_pochhammer_series
+
+SIGNS = (1, -1)
+ANZ_PAIRS = (
+    (ParityConstraint.ODD_PARTS_EVEN_MULTIPLICITY, 1),
+    (ParityConstraint.EVEN_PARTS_EVEN_MULTIPLICITY, -1),
+)
+
+
+def _clear_identity_caches():
+    for value in vars(idn).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+@pytest.mark.parametrize("constraint, sign", ANZ_PAIRS)
+def test_sweep_matches_enumeration_on_the_anz_pairs(constraint, sign):
+    table = idn._sweep.__wrapped__(constraint, sign, 25)
+    assert len(table) == 26
+    for size, value in enumerate(table):
+        assert value == idn._enumerated(size, constraint, sign), size
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+@pytest.mark.parametrize("constraint", list(ParityConstraint))
+def test_sweep_matches_enumeration_under_every_constraint(constraint, sign):
+    table = idn._sweep.__wrapped__(constraint, sign, 16)
+    for size, value in enumerate(table):
+        assert value == idn._enumerated(size, constraint, sign), size
+
+
+def test_sweep_answers_smaller_sizes_from_one_table():
+    _clear_identity_caches()
+    try:
+        big = idn._sweep(*idn._ANZ23, 9)
+        assert idn._sweep(*idn._ANZ23, 4) is big
+        assert idn._sweep(*idn._ANZ23, 10) is not big
+        assert idn._sweep.cache_parameters()["maxsize"] >= 2
+    finally:
+        _clear_identity_caches()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the enumeration sides must come from the sweep")
+
+
+def test_enumeration_sides_use_no_enumeration_weight_or_pochhammer(monkeypatch):
+    sides = (idn.lhs_anz1, idn.lhs_anz2, idn.lhs_anz3)
+    _clear_identity_caches()
+    expected = {(side.__name__, m): side(m) for side in sides for m in range(7)}
+    _clear_identity_caches()
+    monkeypatch.setattr(idn, "enumerate_partitions", _refuse)
+    monkeypatch.setattr(idn, "summand_weight", _refuse)
+    monkeypatch.setattr(idn, "pochhammer_inv_q2", _refuse)
+    try:
+        for side in sides:
+            for m in range(7):
+                assert side(m) == expected[side.__name__, m], (side.__name__, m)
+    finally:
+        _clear_identity_caches()
+
+
+def _term_d_per_call(k, m):
+    """term_d by the per-call route: a fresh series of order m - k."""
+    series = reciprocal_pochhammer_series(cleared.q_power(-1), cleared.q_power(-2), k, m - k)
+    head = cleared.q_power(-(2 * k * k - k)) / cleared.pochhammer_inv_q2(k - 1)
+    return head * series.coefficient(m - k)
+
+
+def test_term_d_matches_a_fresh_series_in_any_call_order():
+    pairs = [(k, m) for m in range(1, 13) for k in range(1, m + 1)]
+    expected = {pair: _term_d_per_call(*pair) for pair in pairs}
+    shuffled = pairs[:]
+    random.Random(12).shuffle(shuffled)
+    try:
+        for order in (pairs, pairs[::-1], shuffled):
+            _clear_identity_caches()
+            for k, m in order:
+                value = idn.term_d(k, m)
+                assert value == expected[k, m], (k, m)
+                assert value.to_rational() == expected[k, m].to_rational(), (k, m)
+    finally:
+        _clear_identity_caches()
+
+
+def test_d_check_builds_one_series_per_k(monkeypatch):
+    built = []
+    direct = idn.reciprocal_pochhammer_series
+
+    def counted(a, ratio, k, order):
+        built.append(k)
+        return direct(a, ratio, k, order)
+
+    _clear_identity_caches()
+    monkeypatch.setattr(idn, "reciprocal_pochhammer_series", counted)
+    try:
+        report = idn.check_d(7)
+    finally:
+        _clear_identity_caches()
+    assert report.passed
+    assert sorted(built) == list(range(1, 8))
