@@ -273,11 +273,7 @@ class Cleared:
             return self.to_rational() + other if isinstance(other, _RATIONAL) else NotImplemented
         return _sum((self, o))
 
-    def __radd__(self, other):
-        o = _lift(other)
-        if o is None:
-            return other + self.to_rational() if isinstance(other, _RATIONAL) else NotImplemented
-        return _sum((o, self))
+    __radd__ = __add__
 
     def __neg__(self):
         return Cleared._raw(self.shift, tuple([-c for c in self.num]), self.exps)
@@ -289,10 +285,7 @@ class Cleared:
         return _sum((self, -o))
 
     def __rsub__(self, other):
-        o = _lift(other)
-        if o is None:
-            return other - self.to_rational() if isinstance(other, _RATIONAL) else NotImplemented
-        return _sum((o, -self))
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         o = _lift(other)

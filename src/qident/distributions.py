@@ -252,11 +252,8 @@ def normalization_check(family: Family, order: int) -> VerificationReport:
     for column in range(1, order + 1):
         total = total + first_column_marginal(family, column, order)
     prefactor = prefactor_series(order)
-    if family is Family.O:  # an explicit ONE: Cleared + Fraction would fall back to Q(q)
-        one_plus_u = TruncatedSeries.constant(ONE, order) + TruncatedSeries.monomial(
-            1, order, ONE
-        )
-        prefactor = prefactor * one_plus_u.reciprocal()
+    if family is Family.O:  # times 1/(1 + u)
+        prefactor = prefactor * reciprocal_pochhammer_series(-ONE, ONE, 1, order)
     product = total * prefactor
     for j in range(order + 1):
         report.record({"u_power": j}, product.coefficient(j), ONE if j == 0 else ZERO)

@@ -41,11 +41,14 @@ lists over one common denominator.  The hypergeometric rewrites reach the
 kernel through the generic ``qseries.pochhammer`` and
 ``qseries.terminating_sum``, and ``term_d`` through ``TruncatedSeries``.
 The values interoperate with ``RationalFunction`` (``to_rational``, ``str``
-and ``evaluate`` are the canonical ones).  ``coeff_u_lemma`` and
-``summand_weight`` (the weights ``partitions --weights`` prints) are the
-kernel counterparts of ``qseries.coeff_u_lemma`` and
-``partitions.summand_weight``, which stay on ``RationalFunction`` as the
-independent route.
+and ``evaluate`` are the canonical ones).  ``coeff_u_lemma`` is built from
+its factors, x^{m-k} (x^{2k};x^2)_{m-k} / (x^2;x^2)_{m-k}, and
+``summand_weight`` (the weights ``partitions --weights`` prints) is
+``partitions.kernel_weight`` times its head (1 - x^{columns_1}).  Their Q(q)
+references, ``qseries.coeff_u_lemma`` (a ratio of generic Pochhammer
+products through ``qbinomial_coefficient``) and
+``partitions.summand_weight``, take a different route and stay on
+``RationalFunction``.
 """
 
 from __future__ import annotations
@@ -54,17 +57,11 @@ from collections.abc import Callable
 from functools import lru_cache, wraps
 
 from .cleared import ONE, ZERO, Cleared, csum, pochhammer_inv_q2, q, q_power
-from .partitions import (
-    ParityConstraint,
-    enumerate_partitions,
-    multiplicity_factors,
-    weight_exponent,
-)
+from .partitions import ParityConstraint, enumerate_partitions, kernel_weight
 from .qseries import (
     DEFAULT_SEED,
     limit_two_phi_one,
     pochhammer,
-    qbinomial_coefficient,
     random_hypergeometric_reports,
     reciprocal_pochhammer_series,
 )
@@ -74,9 +71,6 @@ from .report import VerificationReport
 #: m (or k), so m = 0..64 stay cached for each side, which covers ``verify
 #: all`` up to m_max = 64.
 _SIDE_CACHE = 65
-#: lru_cache size of the coefficient lemma, keyed by (k, m): ``verify all``
-#: at m_max = M asks for 1 <= k <= m <= M + 1, 2145 pairs for M = 64.
-_LEMMA_CACHE = 2145
 
 
 def _alt_sign(i: int) -> int:
@@ -199,14 +193,9 @@ def _limit(n: int, z_exponent: int) -> Cleared:
 # ---------------------------------------------------------------------------
 
 def summand_weight(partition, sign: int) -> Cleared:
-    """``partitions.summand_weight`` on the kernel, a unit built from its
-    factors: x^{weight_exponent} (1 - x^{columns_1}) / prod_i
-    (x^2;x^2)_{floor(m_i/2)}."""
-    if not partition.num_parts:
-        return ZERO
-    exps = multiplicity_factors(partition)
-    exps[partition.num_parts] = exps.get(partition.num_parts, 0) - 1
-    return Cleared(shift=weight_exponent(partition, sign), exps=exps)
+    """``partitions.summand_weight`` on the kernel: the kernel weight times
+    its head (1 - x^{columns_1}), which is 0 for the empty partition."""
+    return kernel_weight(partition, sign) * (1 - q_power(-partition.num_parts))
 
 
 #: The (constraint, sign) of the sweep behind ANZ1, and the one sweep that
@@ -268,13 +257,17 @@ def rhs_anz3(m: int) -> Cleared:
 # First-column class terms (coefficient-extraction route)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=_LEMMA_CACHE)
 def coeff_u_lemma(k: int, m: int) -> Cleared:
-    """``qseries.coeff_u_lemma`` on the kernel, a product of units:
-    (q^{-2k}; q^{-2})_{m-k} / (q^{-2}; q^{-2})_{m-k} * q^{-(m-k)}."""
+    """``qseries.coeff_u_lemma`` on the kernel, the unit built from its
+    factors: x^{m-k} (x^{2k}; x^2)_{m-k} / (x^2; x^2)_{m-k}, which is 0 for
+    k = 0 < m."""
     if k < 0 or m < k:
         raise ValueError(f"need m >= k >= 0, got k={k}, m={m}")
-    return qbinomial_coefficient(k, m - k, q_power(-2)) * q_power(k - m)
+    n = m - k
+    if not k and n:
+        return ZERO
+    exps = [(2 * (k + i), -1) for i in range(n)] + [(2 * i, 1) for i in range(1, n + 1)]
+    return Cleared(shift=n, exps=exps)
 
 
 def term_a(k: int, m: int) -> Cleared:

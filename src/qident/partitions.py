@@ -9,9 +9,10 @@ Two parity constraints matter here: "every odd part has even multiplicity"
 (the symplectic side, weight exponent sign +1) and "every even part has
 even multiplicity" (the orthogonal side, sign -1).
 
-``kernel_weight`` and ``identities.summand_weight`` build the weights on
-the integer kernel from ``multiplicity_factors``; they are what the
-package computes with and what ``partitions --weights`` prints.
+``kernel_weight`` builds the weight on the integer kernel from
+``multiplicity_factors``, and ``identities.summand_weight`` is it times its
+head (1 - x^{columns_1}); they are what the package computes with and what
+``partitions --weights`` prints.
 ``summand_weight`` and ``cl_numerator`` compute the same weights in Q(q),
 the independent route the tests check the kernel against.
 """

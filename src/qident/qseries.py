@@ -322,10 +322,7 @@ class TruncatedSeries:
         )
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self + (-other)
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(self.order, tuple(-a for a in self.coeffs))

@@ -407,6 +407,9 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant hashes as its int or Fraction, which compare equal to it
+        if self.den.coeffs == (1,) and len(self.num.coeffs) <= 1:
+            return hash(self.num.coeffs[0] if self.num.coeffs else 0)
         return hash((self.num.coeffs, self.den.coeffs))
 
     def as_dict(self) -> dict:

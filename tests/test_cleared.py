@@ -21,7 +21,9 @@ from qident.partitions import (
     cl_numerator,
     enumerate_partitions,
     kernel_weight,
+    multiplicity_factors,
     summand_weight,
+    weight_exponent,
 )
 from qident.qseries import (
     coeff_u_lemma,
@@ -344,6 +346,36 @@ def test_summand_weight_matches_partitions():
         for p in enumerate_partitions(size):
             for sign in (1, -1):
                 assert idn.summand_weight(p, sign).to_rational() == summand_weight(p, sign)
+
+
+def test_kernel_lemma_matches_the_generic_route():
+    """The lemma's unit, built from its factors, equals the q-binomial
+    coefficient through the generic Pochhammer engine, k = 0 included."""
+    for m in range(31):
+        for k in range(m + 1):
+            generic = qseries.qbinomial_coefficient(
+                k, m - k, cleared.q_power(-2)
+            ) * cleared.q_power(k - m)
+            assert idn.coeff_u_lemma(k, m) == generic, (k, m)
+
+
+def test_summand_weight_is_the_direct_unit():
+    """The kernel weight times its head equals the weight written as one
+    unit: x^{weight_exponent} (1 - x^{columns_1}) / prod_i (x^2;x^2)_{floor(m_i/2)}."""
+    for size in range(15):
+        for constraint in ParityConstraint:
+            for p in enumerate_partitions(size, constraint):
+                exps = multiplicity_factors(p)
+                exps[p.num_parts] = exps.get(p.num_parts, 0) - 1
+                for sign in (1, -1):
+                    direct = Cleared(shift=weight_exponent(p, sign), exps=exps) if size else ZERO
+                    assert idn.summand_weight(p, sign) == direct, (p, sign)
+
+
+@pytest.mark.parametrize("constant, value", [(ZERO, 0), (ONE, 1), (Cleared([5]), 5), (Cleared([-3]), -3)])
+def test_kernel_constant_hashes_as_its_int(constant, value):
+    assert constant == value and hash(constant) == hash(value)
+    assert len({constant, value}) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,13 @@ def test_hash_consistent_with_equality(a):
     assert a == b and hash(a) == hash(b)
 
 
+@pytest.mark.parametrize("value", [0, 5, -3, Fraction(1, 2), Fraction(-7, 3)])
+def test_constant_hashes_as_the_number_it_equals(value):
+    constant = RationalFunction(value)
+    assert constant == value and hash(constant) == hash(value)
+    assert len({constant, value}) == 1
+
+
 # --- reference: the same operations on plain Fraction coefficient lists -----
 
 
