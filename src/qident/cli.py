@@ -5,7 +5,8 @@ human-readable line per check (``--format text``).  Identical invocations
 produce byte-identical output: all randomness is seeded, serialization is
 canonical (sorted keys), and orderings are deterministic.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error.
+Exit codes: 0 all checks passed, 1 at least one check failed or stdout
+was closed before the output ended, 2 usage error.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ _MINIMUM = {
 
 # Largest accepted value of an integer option, by argparse dest: the draws
 # of ``dist sample`` are held in memory, about 47 bytes each, before any
-# output.
-_MAXIMUM = {"count": 10_000_000}
+# output, and ``verify normalization`` reaches about order 108 in 60 s
+# (2-vCPU VM, Python 3.11.7), with its time growing like order^3.3.
+_MAXIMUM = {"count": 10_000_000, "order": 128}
 
 
 def _json(obj) -> str:
@@ -76,7 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run identity checks")
     verify.add_argument("selector", choices=VERIFY_SELECTORS)
     verify.add_argument("--m-max", type=int, help="default: $QIDENT_M_MAX or 10")
-    verify.add_argument("--order", type=int, default=12, help="series order D")
+    verify.add_argument(
+        "--order", type=int, default=12,
+        help=f"series order D, at most {_MAXIMUM['order']} (default: 12)",
+    )
     verify.add_argument("--k-max", type=int, default=3, help="marginal column half-range")
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     verify.add_argument("--tuples-per-n", type=int, default=20)
@@ -269,10 +274,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_numbers(args)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
     except _Usage as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")  # one stderr line
         return 2  # unreachable; keeps type-checkers happy
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull, so that
+        # the flush at interpreter exit writes nowhere instead of raising.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

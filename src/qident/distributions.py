@@ -248,9 +248,10 @@ def normalization_check(family: Family, order: int) -> VerificationReport:
         f"normalization-{family.value}", params={"order": order}
     )
     # column c starts at u^c or later, so columns 0..order cover u^0..u^order
-    total = first_column_marginal(family, 0, order)
-    for column in range(1, order + 1):
-        total = total + first_column_marginal(family, column, order)
+    columns = [first_column_marginal(family, c, order) for c in range(order + 1)]
+    total = TruncatedSeries(
+        order, tuple(csum(s.coeffs[j] for s in columns) for j in range(order + 1))
+    )
     prefactor = prefactor_series(order)
     if family is Family.O:  # times 1/(1 + u)
         prefactor = prefactor * reciprocal_pochhammer_series(-ONE, ONE, 1, order)

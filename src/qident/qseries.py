@@ -13,7 +13,11 @@ terminating sum on either side is built by the one term-ratio engine
 TruncatedSeries provides formal power series in an auxiliary variable u
 with field coefficients, exact through a caller-chosen order.  It serves
 as the coefficient-extraction oracle for the closed forms used by the
-identity proofs (and by the distribution marginals).
+identity proofs (and by the distribution marginals).  Each coefficient of
+a product or a reciprocal is one ``csum`` over its products.
+``reciprocal_pochhammer_series`` divides 1 by its factors 1 - c u^step
+in place, one factor at a time, instead of multiplying them out
+(``pochhammer_series``) and inverting the product.
 
 Representation: the engine -- ``pochhammer``, ``terminating_sum``, the
 2phi1 sums and checks, ``qbinomial_coefficient``, ``TruncatedSeries`` and
@@ -277,6 +281,12 @@ def coeff_u_lemma(k: int, m: int) -> RationalFunction:
 # Truncated formal power series in the auxiliary variable u
 # ---------------------------------------------------------------------------
 
+def _total(terms: list, zero) -> Element:
+    """One ``csum`` over the terms, or ``zero`` (the caller's field zero)
+    when there are none, so that no empty sum yields the kernel's zero."""
+    return csum(terms) if terms else zero
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Power series in u with field coefficients (``as_element``), exact
@@ -329,14 +339,12 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_order(other)
-        out = [self.coeffs[0] * other.coeffs[0] * 0] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
+        a, b = self.coeffs, other.coeffs
+        zero = a[0] * b[0] * 0
+        out = [
+            _total([a[i] * b[n - i] for i in range(n + 1) if a[i] and b[n - i]], zero)
+            for n in range(self.order + 1)
+        ]
         return TruncatedSeries(self.order, tuple(out))
 
     def reciprocal(self) -> "TruncatedSeries":
@@ -344,16 +352,13 @@ class TruncatedSeries:
         c0 = self.coeffs[0]
         if not c0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
+        f = self.coeffs
         inv0 = 1 / c0
         zero = c0 * 0
-        out = [inv0] + [zero] * self.order
+        out = [inv0]
         for n in range(1, self.order + 1):
-            acc = zero
-            for i in range(1, n + 1):
-                fi = self.coeffs[i]
-                if fi:
-                    acc = acc + fi * out[n - i]
-            out[n] = -inv0 * acc
+            terms = [f[i] * out[n - i] for i in range(1, n + 1) if f[i] and out[n - i]]
+            out.append(-inv0 * _total(terms, zero))
         return TruncatedSeries(self.order, tuple(out))
 
     def truncate(self, order: int) -> "TruncatedSeries":
@@ -388,8 +393,27 @@ def pochhammer_series(a, ratio, k: int, order: int, step: int = 1) -> TruncatedS
 def reciprocal_pochhammer_series(
     a, ratio, k: int, order: int, step: int = 1
 ) -> TruncatedSeries:
-    """prod_{j=0}^{k-1} 1/(1 - u^step * a * ratio^j), exact through u^order."""
-    return TruncatedSeries.reciprocal(pochhammer_series(a, ratio, k, order, step))
+    """prod_{j=0}^{k-1} 1/(1 - u^step * a * ratio^j), exact through u^order.
+
+    The series starts as 1 and is divided by one factor 1 - c u^step at a
+    time, c = a * ratio^j, in place: out[n] += c * out[n - step] for n
+    ascending, so out[n - step] already holds the quotient.  That is about
+    k * order / step multiply-adds, with zero entries skipped.
+    """
+    if step < 1:
+        raise ValueError("step must be positive")
+    a = as_element(a)
+    ratio = as_element(ratio)
+    one = a ** 0
+    out = [one] + [one * 0] * order
+    c = a
+    for _ in range(k):
+        for n in range(step, order + 1):
+            prev = out[n - step]
+            if prev:
+                out[n] = out[n] + c * prev
+        c = c * ratio
+    return TruncatedSeries(order, tuple(out))
 
 
 # ---------------------------------------------------------------------------

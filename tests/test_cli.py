@@ -13,6 +13,7 @@ from qident import cli, distributions, identities
 from qident.distributions import Family, MeasureParams
 from qident.partitions import ParityConstraint, enumerate_partitions, summand_weight
 from qident.rational import q_power
+from qident.report import VerificationReport
 
 
 def run_cli(capsys, *argv):
@@ -317,3 +318,61 @@ def test_main_calls_in_one_process_match_calls_run_alone(capsys, monkeypatch):
     assert [code for _, code in together] == [0, 0, 0, 2]
     assert together == [_alone(argv) for argv in REUSED_PARSER_RUNS]
     assert cli._parser() is cli._parser()
+
+
+def test_verify_refuses_an_order_above_the_cap(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no series may be built above the cap")
+
+    monkeypatch.setattr(distributions, "normalization_check", refuse)
+    cap = cli._MAXIMUM["order"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "normalization", "--order", str(cap + 1)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qident: error: --order must be at most {cap}, got {cap + 1}\n"
+
+
+def test_verify_accepts_the_order_cap(capsys, monkeypatch):
+    orders = []
+
+    def stand_in(family, order):
+        orders.append(order)
+        report = VerificationReport(f"normalization-{family.value}", params={"order": order})
+        report.record({"u_power": 0}, 1, 1)
+        return report
+
+    monkeypatch.setattr(distributions, "normalization_check", stand_in)
+    cap = cli._MAXIMUM["order"]
+    code, out = run_cli(capsys, "verify", "normalization", "--order", str(cap))
+    assert code == 0
+    assert orders == [cap, cap]
+    assert [json.loads(line)["params"] for line in out.splitlines()] == [{"order": cap}] * 2
+
+
+def test_order_cap_is_documented(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    assert f"at most {cli._MAXIMUM['order']}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_one_without_a_traceback(unbuffered):
+    # about 700 kB of rows, far more than a pipe holds, so the CLI is still
+    # writing when the reader goes away
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qident", "partitions", "--n", "34"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b'{"partition":[34]}\n'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

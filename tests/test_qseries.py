@@ -1,11 +1,14 @@
 """Pochhammer products, terminating 2phi1 identities, and series oracles."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qident import cleared
+from qident.cleared import Cleared
 from qident.qseries import (
     DegenerateParameters,
     HypergeometricSpec,
@@ -392,3 +395,105 @@ def test_checks_agree_on_fractions_and_constant_rational_functions(n, b, c, base
     assert _outcome(limit_transform_check, n, c, base, z) == _outcome(
         limit_transform_check, n, *constant[1:]
     )
+
+
+# --- in-place division and one-csum products -------------------------------
+
+#: (a, ratio) of each element type the series engine computes in.
+DIVISION_ARGUMENTS = {
+    Cleared: (cleared.q_power(-1), cleared.q_power(-2)),
+    RationalFunction: (1 / (q + 1), q),
+    Fraction: (Fraction(2, 3), Fraction(-3, 5)),
+}
+
+
+@pytest.mark.parametrize("kind", DIVISION_ARGUMENTS, ids=lambda t: t.__name__)
+def test_reciprocal_pochhammer_series_divides_out_the_product(kind):
+    a, ratio = DIVISION_ARGUMENTS[kind]
+    for step in (1, 2, 3):
+        for k in range(7):
+            # a coefficient does not depend on the order the series is cut at
+            product = pochhammer_series(a, ratio, k, 12, step).reciprocal()
+            for order in range(13):
+                series = reciprocal_pochhammer_series(a, ratio, k, order, step)
+                assert series == product.truncate(order), (step, k, order)
+                assert all(type(c) is kind for c in series.coeffs), (step, k, order)
+
+
+def _schoolbook_product(s, t):
+    zero = s.coeffs[0] * t.coeffs[0] * 0
+    out = [zero] * (s.order + 1)
+    for i, a in enumerate(s.coeffs):
+        for j in range(s.order + 1 - i):
+            out[i + j] = out[i + j] + a * t.coeffs[j]
+    return out
+
+
+def _schoolbook_reciprocal(s):
+    f = s.coeffs
+    inv0, zero = 1 / f[0], f[0] * 0
+    out = [inv0]
+    for n in range(1, s.order + 1):
+        acc = zero
+        for i in range(1, n + 1):
+            acc = acc + f[i] * out[n - i]
+        out.append(-inv0 * acc)
+    return out
+
+
+#: Coefficient pools per element type: the units may lead a series that is
+#: inverted, the others (zeros among them) fill the remaining places.
+SERIES_POOLS = {
+    Cleared: (
+        (cleared.ONE, -cleared.ONE, cleared.q, Cleared([1], exps={1: 1})),
+        (cleared.ZERO, cleared.ZERO, cleared.ONE, -cleared.q_power(-1),
+         Cleared([1, 2]), Cleared([3, 0, -1], shift=1, exps={2: 1})),
+    ),
+    RationalFunction: (
+        (RationalFunction.one(), q, (q + 1) / (q - 1)),
+        (RationalFunction.zero(), RationalFunction.zero(), q_power(-1),
+         -RationalFunction.one(), (q**2 + 1) / (q + 2)),
+    ),
+    Fraction: (
+        (Fraction(1), Fraction(-2), Fraction(3, 4)),
+        (Fraction(0), Fraction(0), Fraction(1), Fraction(-5, 3), Fraction(7, 2)),
+    ),
+}
+
+
+def _random_series(rng, kind, order):
+    units, fill = SERIES_POOLS[kind]
+    return TruncatedSeries(
+        order, (rng.choice(units), *(rng.choice(fill) for _ in range(order)))
+    )
+
+
+@pytest.mark.parametrize("kind", SERIES_POOLS, ids=lambda t: t.__name__)
+def test_series_product_and_reciprocal_match_a_pairwise_fold(kind):
+    rng = random.Random(f"series-fold:{kind.__name__}")
+    units, fill = SERIES_POOLS[kind]
+    c = fill[-1]
+    # s(u) s(-u) has only even powers: every odd output coefficient is a
+    # sum of products that cancels; 1/(1 + c u + c^2 u^2) has a zero u^2
+    # coefficient built from two cancelling products.
+    alternating = TruncatedSeries(3, (units[0], c, fill[0], c * c))
+    flipped = TruncatedSeries(3, (units[0], -c, fill[0], -(c * c)))
+    cancelling = [
+        (alternating, flipped),
+        (TruncatedSeries(4, (units[0], c, c * c, fill[0], fill[0])),) * 2,
+    ]
+    randomized = []
+    for order in range(7):
+        for _ in range(3):
+            randomized.append(
+                (_random_series(rng, kind, order), _random_series(rng, kind, order))
+            )
+    for s, t in cancelling + randomized:
+        product = s * t
+        assert list(product.coeffs) == _schoolbook_product(s, t)
+        inverse = s.reciprocal()
+        assert list(inverse.coeffs) == _schoolbook_reciprocal(s)
+        for value in product.coeffs + inverse.coeffs:
+            assert type(value) is kind
+    assert not any((alternating * flipped).coeffs[1::2])
+    assert not cancelling[1][0].reciprocal().coefficient(2)
