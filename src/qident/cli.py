@@ -44,9 +44,10 @@ _MINIMUM = {
 
 # Largest accepted value of an integer option, by argparse dest: the draws
 # of ``dist sample`` are held in memory, about 47 bytes each, before any
-# output, and ``verify normalization`` reaches about order 108 in 60 s
-# (2-vCPU VM, Python 3.11.7), with its time growing like order^3.3.
-_MAXIMUM = {"count": 10_000_000, "order": 128}
+# output, ``verify normalization`` reaches about order 108 in 60 s, with its
+# time growing like order^3.3, and ``verify anz1`` reaches about m_max 61
+# (2-vCPU VM, Python 3.11.7).
+_MAXIMUM = {"count": 10_000_000, "order": 128, "m_max": 128}
 
 
 def _json(obj) -> str:
@@ -77,7 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run identity checks")
     verify.add_argument("selector", choices=VERIFY_SELECTORS)
-    verify.add_argument("--m-max", type=int, help="default: $QIDENT_M_MAX or 10")
+    verify.add_argument(
+        "--m-max", type=int,
+        help=f"at most {_MAXIMUM['m_max']} (default: $QIDENT_M_MAX or 10)",
+    )
     verify.add_argument(
         "--order", type=int, default=12,
         help=f"series order D, at most {_MAXIMUM['order']} (default: 12)",

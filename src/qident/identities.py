@@ -2,12 +2,16 @@
 
 Every check compares two independently computed elements of Q(q):
 
-* the enumeration side sums the partition weights of each size
-  (``lhs_*``), read from a transfer-matrix sweep over the part values
-  (``_sweep``) that shares nothing with the other sides but kernel
-  arithmetic; each check builds its table once, at its m_max, and ANZ2 and
-  ANZ3 share one.  ``_enumerated``, the sum over the enumerated partitions
-  themselves, is the tests' reference for the sweep,
+* the enumeration side sums the partition weights of each size, read from
+  a transfer-matrix sweep over the part values (``_sweep``) that shares
+  nothing with the other sides but kernel arithmetic.  One sweep to size n
+  is a table of the sides of every size up to n, so each check binds the
+  table of its m_max once and indexes it: ANZ1 and EQ4 read the sign +1
+  table, ANZ2, ANZ3, EQ5 and D_EQ_B2 the sign -1 one, and ``_sweep`` keeps
+  two tables, so the checks at one m_max build one per (constraint, sign).
+  ``lhs_*`` read one size from a table of their own; ``_enumerated``, the
+  sum over the enumerated partitions themselves, is the tests' reference
+  for the sweep,
 * the term side rebuilds the same quantity from first-column classes via
   the coefficient-extraction closed form (``term_*`` on ``_column``, and
   their sums ``sum_*``),
@@ -67,9 +71,9 @@ from .qseries import (
 )
 from .report import VerificationReport
 
-#: Cache size of the per-m sides and of term_d's per-k series: one entry per
-#: m (or k), so m = 0..64 stay cached for each side, which covers ``verify
-#: all`` up to m_max = 64.
+#: Cache size of the closed right sides ``rhs_anz*``: one entry per m, so
+#: m = 0..64 stay cached, which covers ``verify all`` up to m_max = 64.
+#: Three checks read rhs_anz1 and two read each of the others.
 _SIDE_CACHE = 65
 
 
@@ -83,41 +87,13 @@ def _require_range(k: int, lo: int, hi: int) -> None:
         raise ValueError(f"index k={k} outside [{lo}, {hi}]")
 
 
-def _grown(maxsize: int):
-    """Cache ``build(*key, size)`` so that, per key, the value built at the
-    largest size asked for so far answers every smaller size: a caller that
-    asks for its largest size first builds once.  At most ``maxsize`` keys
-    are kept, the oldest dropped first; the cache has lru_cache's
-    ``cache_clear`` and ``cache_parameters``."""
-
-    def decorate(build):
-        built: dict[tuple, tuple] = {}
-
-        @wraps(build)
-        def cached(*args):
-            *key, size = args
-            key = tuple(key)
-            hit = built.get(key)
-            if hit is None or hit[0] < size:
-                if hit is None and len(built) >= maxsize:
-                    del built[next(iter(built))]
-                hit = built[key] = (size, build(*key, size))
-            return hit[1]
-
-        cached.cache_clear = built.clear
-        cached.cache_parameters = lambda: {"maxsize": maxsize, "typed": False}
-        return cached
-
-    return decorate
-
-
 def _enumerated(size: int, constraint: ParityConstraint, sign: int) -> Cleared:
     """Sum of summand_weight(p, sign) over the partitions p of size under
     constraint: the reference the tests hold ``_sweep`` to."""
     return csum(summand_weight(p, sign) for p in enumerate_partitions(size, constraint))
 
 
-@_grown(maxsize=2)
+@lru_cache(maxsize=2)  # one table per (constraint, sign) at one m_max
 def _sweep(constraint: ParityConstraint, sign: int, n: int) -> tuple[Cleared, ...]:
     """The enumeration side of every size 0..n at once: entry s is the sum
     of summand_weight(p, sign) over the partitions p of s under constraint.
@@ -204,21 +180,18 @@ _ANZ1 = (ParityConstraint.ODD_PARTS_EVEN_MULTIPLICITY, +1)
 _ANZ23 = (ParityConstraint.EVEN_PARTS_EVEN_MULTIPLICITY, -1)
 
 
-@lru_cache(maxsize=_SIDE_CACHE)
 def lhs_anz1(m: int) -> Cleared:
     """Sum of sign +1 weights over partitions of 2m whose odd parts all
     occur with even multiplicity."""
     return _sweep(*_ANZ1, 2 * m)[2 * m]
 
 
-@lru_cache(maxsize=_SIDE_CACHE)
 def lhs_anz2(m: int) -> Cleared:
     """Sum of sign -1 weights over partitions of 2m+1 whose even parts all
     occur with even multiplicity."""
     return _sweep(*_ANZ23, 2 * m + 1)[2 * m + 1]
 
 
-@lru_cache(maxsize=_SIDE_CACHE)
 def lhs_anz3(m: int) -> Cleared:
     """Sum of sign -1 weights over partitions of 2m whose even parts all
     occur with even multiplicity."""
@@ -309,10 +282,16 @@ def term_c(k: int, m: int) -> Cleared:
     return (1 - q_power(1 - 2 * k)) * term_c1(k, m)
 
 
-@_grown(maxsize=_SIDE_CACHE)
 def _d_series(k: int, order: int):
     """The truncated series of 1/(u/q; 1/q^2)_k through u^order."""
     return reciprocal_pochhammer_series(q_power(-1), q_power(-2), k, order)
+
+
+def _d_term(k: int, m: int, series) -> Cleared:
+    """term_d(k, m) read from ``_d_series(k, order)`` for any order >= m - k:
+    the coefficients do not depend on the order the series is truncated at."""
+    head = q_power(-(2 * k * k - k)) / pochhammer_inv_q2(k - 1)
+    return head * series.coefficient(m - k)
 
 
 def term_d(k: int, m: int) -> Cleared:
@@ -320,13 +299,10 @@ def term_d(k: int, m: int) -> Cleared:
 
     The coefficient of u^{m-k} is extracted from the truncated series of
     1/(u/q; 1/q^2)_k rather than from the closed form, so the comparison
-    against term_b2 genuinely crosses two computation routes.  One series
-    per k serves every m: its coefficients do not depend on the order it
-    is truncated at.
+    against term_b2 genuinely crosses two computation routes.
     """
     _require_range(k, 1, m)
-    head = q_power(-(2 * k * k - k)) / pochhammer_inv_q2(k - 1)
-    return head * _d_series(k, m - k).coefficient(m - k)
+    return _d_term(k, m, _d_series(k, m - k))
 
 
 def sum_ab(m: int) -> Cleared:
@@ -438,45 +414,45 @@ def _check(identity: str):
 
 @_check("ANZ1")
 def check_anz1(m_max: int):
-    _sweep(*_ANZ1, 2 * m_max)  # one sweep for every m
+    lhs = _sweep(*_ANZ1, 2 * m_max)
     for m in range(m_max + 1):
-        yield {"m": m}, lhs_anz1(m), rhs_anz1(m)
+        yield {"m": m}, lhs[2 * m], rhs_anz1(m)
 
 
 @_check("ANZ2")
 def check_anz2(m_max: int):
-    _sweep(*_ANZ23, 2 * m_max + 1)
+    lhs = _sweep(*_ANZ23, 2 * m_max + 1)
     for m in range(m_max + 1):
-        yield {"m": m}, lhs_anz2(m), rhs_anz2(m)
+        yield {"m": m}, lhs[2 * m + 1], rhs_anz2(m)
 
 
 @_check("ANZ3")
 def check_anz3(m_max: int):
-    _sweep(*_ANZ23, 2 * m_max + 1)  # the table ANZ2 builds, if it ran first
+    lhs = _sweep(*_ANZ23, 2 * m_max + 1)
     for m in range(m_max + 1):
-        yield {"m": m}, lhs_anz3(m), rhs_anz3(m)
+        yield {"m": m}, lhs[2 * m], rhs_anz3(m)
 
 
 @_check("EQ4")
 def check_eq4(m_max: int):
     """The term sum for the sign +1 identity against both the closed right
     side and the enumeration left side (the bridge)."""
-    _sweep(*_ANZ1, 2 * m_max)
+    lhs = _sweep(*_ANZ1, 2 * m_max)
     for m in range(m_max + 1):
         total = sum_ab(m)
         yield {"m": m, "route": "terms-vs-closed"}, total, rhs_anz1(m)
-        yield {"m": m, "route": "terms-vs-enumeration"}, total, lhs_anz1(m)
+        yield {"m": m, "route": "terms-vs-enumeration"}, total, lhs[2 * m]
 
 
 @_check("EQ5")
 def check_eq5(m_max: int):
     """The c-term sum against both the closed right side and the
     enumeration left side of the odd-size sign -1 identity."""
-    _sweep(*_ANZ23, 2 * m_max + 1)
+    lhs = _sweep(*_ANZ23, 2 * m_max + 1)
     for m in range(m_max + 1):
         total = sum_c(m)
         yield {"m": m, "route": "terms-vs-closed"}, total, rhs_anz2(m)
-        yield {"m": m, "route": "terms-vs-enumeration"}, total, lhs_anz2(m)
+        yield {"m": m, "route": "terms-vs-enumeration"}, total, lhs[2 * m + 1]
 
 
 @_check("A2_SUM")
@@ -535,16 +511,19 @@ def check_splits(m_max: int):
 def check_d(m_max: int):
     """d_k = b2_k termwise (series extraction vs closed coefficient), and
     the d sum against both sides of the even-size sign -1 identity."""
-    _sweep(*_ANZ23, 2 * m_max + 1)
-    for k in range(1, m_max + 1):  # one series per k, at its largest order
-        _d_series(k, m_max - k)
-    for m in range(1, m_max + 1):
-        for k in range(1, m + 1):
-            yield {"m": m, "k": k, "route": "d-vs-b2"}, term_d(k, m), term_b2(k, m)
+    lhs = _sweep(*_ANZ23, 2 * m_max + 1)
+    series = {k: _d_series(k, m_max - k) for k in range(1, m_max + 1)}
+    d = {
+        (k, m): _d_term(k, m, series[k])
+        for m in range(1, m_max + 1)
+        for k in range(1, m + 1)
+    }
+    for (k, m), value in d.items():
+        yield {"m": m, "k": k, "route": "d-vs-b2"}, value, term_b2(k, m)
     for m in range(m_max + 1):
-        total = sum_d(m)
+        total = csum(d[k, m] for k in range(1, m + 1))
         yield {"m": m, "route": "terms-vs-closed"}, total, rhs_anz3(m)
-        yield {"m": m, "route": "terms-vs-enumeration"}, total, lhs_anz3(m)
+        yield {"m": m, "route": "terms-vs-enumeration"}, total, lhs[2 * m]
 
 
 @_check("FINAL_COMBINE")

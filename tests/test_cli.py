@@ -357,6 +357,57 @@ def test_order_cap_is_documented(capsys):
     assert f"at most {cli._MAXIMUM['order']}" in capsys.readouterr().out
 
 
+def _refuse_check(m_max):
+    raise AssertionError("no table may be built above the cap")
+
+
+def test_verify_refuses_an_m_max_above_the_cap(capsys, monkeypatch):
+    monkeypatch.setitem(identities.CHECKS, "ANZ1", _refuse_check)
+    cap = cli._MAXIMUM["m_max"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "anz1", "--m-max", str(cap + 1)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qident: error: --m-max must be at most {cap}, got {cap + 1}\n"
+
+
+def test_verify_refuses_an_m_max_above_the_cap_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setitem(identities.CHECKS, "ANZ1", _refuse_check)
+    cap = cli._MAXIMUM["m_max"]
+    monkeypatch.setenv("QIDENT_M_MAX", str(cap + 1))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "anz1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qident: error: --m-max must be at most {cap}, got {cap + 1}\n"
+
+
+def test_verify_accepts_the_m_max_cap(capsys, monkeypatch):
+    m_maxes = []
+
+    def stand_in(m_max):
+        m_maxes.append(m_max)
+        report = VerificationReport("ANZ1", params={"m_max": m_max})
+        report.record({"m": 0}, 1, 1)
+        return report
+
+    monkeypatch.setitem(identities.CHECKS, "ANZ1", stand_in)
+    cap = cli._MAXIMUM["m_max"]
+    code, out = run_cli(capsys, "verify", "anz1", "--m-max", str(cap))
+    assert code == 0
+    assert m_maxes == [cap]
+    assert json.loads(out)["params"] == {"m_max": cap}
+
+
+def test_m_max_cap_is_documented(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"--m-max M_MAX at most {cli._MAXIMUM['m_max']}" in help_text
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_one_without_a_traceback(unbuffered):
     # about 700 kB of rows, far more than a pipe holds, so the CLI is still

@@ -42,15 +42,39 @@ def test_sweep_matches_enumeration_under_every_constraint(constraint, sign):
         assert value == idn._enumerated(size, constraint, sign), size
 
 
-def test_sweep_answers_smaller_sizes_from_one_table():
+def test_the_checks_at_one_m_max_build_one_table_per_pair():
     _clear_identity_caches()
     try:
-        big = idn._sweep(*idn._ANZ23, 9)
-        assert idn._sweep(*idn._ANZ23, 4) is big
-        assert idn._sweep(*idn._ANZ23, 10) is not big
-        assert idn._sweep.cache_parameters()["maxsize"] >= 2
+        for check in idn.CHECKS.values():
+            check(6)
+        info = idn._sweep.cache_info()
     finally:
         _clear_identity_caches()
+    # ANZ1 and EQ4 share the sign +1 table; ANZ2, ANZ3, EQ5 and D_EQ_B2 the
+    # sign -1 one
+    assert (info.misses, info.hits) == (2, 4)
+
+
+def _reports(checks):
+    """The JSON form of each check's report at m_max = 6, run from cleared
+    caches in the given order."""
+    _clear_identity_caches()
+    return {identity: check(6).to_json_dict() for identity, check in checks}
+
+
+def test_check_reports_do_not_depend_on_the_run_order():
+    checks = list(idn.CHECKS.items())
+    try:
+        alone = {}
+        for item in checks:
+            alone.update(_reports([item]))
+        in_order = _reports(checks)
+        in_reverse = _reports(checks[::-1])
+    finally:
+        _clear_identity_caches()
+    assert list(alone) == list(idn.CHECKS)
+    assert in_order == alone
+    assert in_reverse == alone
 
 
 def _refuse(*args, **kwargs):
