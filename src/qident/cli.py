@@ -18,10 +18,9 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from . import distributions, identities
+from . import distributions, identities, qseries
 from .distributions import Family, MeasureParams
 from .partitions import ParityConstraint, enumerate_partitions
-from .qseries import DEFAULT_SEED, random_hypergeometric_reports
 from .report import VerificationReport
 
 VERIFY_SELECTORS = (
@@ -45,9 +44,17 @@ _MINIMUM = {
 # Largest accepted value of an integer option, by argparse dest: the draws
 # of ``dist sample`` are held in memory, about 47 bytes each, before any
 # output, ``verify normalization`` reaches about order 108 in 60 s, with its
-# time growing like order^3.3, and ``verify anz1`` reaches about m_max 61
-# (2-vCPU VM, Python 3.11.7).
-_MAXIMUM = {"count": 10_000_000, "order": 128, "m_max": 128}
+# time growing like order^3.3, and ``verify anz1`` reaches about m_max 61.
+# ``verify qseries`` takes about 42 s at n_max 96 (20 tuples per n), with
+# its time growing like n_max^4.5, and about 18 s at 10,000 tuples per n
+# (n_max 8), holding each comparison in memory (2-vCPU VM, Python 3.11.7).
+_MAXIMUM = {
+    "count": 10_000_000,
+    "order": 128,
+    "m_max": 128,
+    "qseries_n_max": 96,
+    "tuples_per_n": 10_000,
+}
 
 
 def _json(obj) -> str:
@@ -87,9 +94,15 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"series order D, at most {_MAXIMUM['order']} (default: 12)",
     )
     verify.add_argument("--k-max", type=int, default=3, help="marginal column half-range")
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    verify.add_argument("--tuples-per-n", type=int, default=20)
-    verify.add_argument("--qseries-n-max", type=int, default=8)
+    verify.add_argument("--seed", type=int, default=qseries.DEFAULT_SEED)
+    verify.add_argument(
+        "--tuples-per-n", type=int, default=20,
+        help=f"at most {_MAXIMUM['tuples_per_n']} (default: 20)",
+    )
+    verify.add_argument(
+        "--qseries-n-max", type=int, default=8,
+        help=f"at most {_MAXIMUM['qseries_n_max']} (default: 8)",
+    )
     verify.add_argument("--format", choices=("json", "text"), default="json")
     verify.set_defaults(func=cmd_verify)
 
@@ -123,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--count", type=int, default=10,
         help=f"number of draws, at most {_MAXIMUM['count']} (default: 10)",
     )
-    dsample.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    dsample.add_argument("--seed", type=int, default=qseries.DEFAULT_SEED)
     dsample.set_defaults(func=cmd_dist_sample)
 
     return parser
@@ -149,7 +162,7 @@ def _verify_reports(args) -> list[VerificationReport]:
         ids = identities.SELECTORS.get(selector, ())
     reports = [identities.CHECKS[identity](args.m_max) for identity in ids]
     if everything or selector == "qseries":
-        reports += random_hypergeometric_reports(
+        reports += qseries.random_hypergeometric_reports(
             n_max=args.qseries_n_max, tuples_per_n=args.tuples_per_n, seed=args.seed
         )
     kinds = [c for name, c in _FAMILY_CHECKS.items() if everything or name == selector]

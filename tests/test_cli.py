@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qident import cli, distributions, identities
+from qident import cli, distributions, identities, qseries
 from qident.distributions import Family, MeasureParams
 from qident.partitions import ParityConstraint, enumerate_partitions, summand_weight
 from qident.rational import q_power
@@ -406,6 +406,57 @@ def test_m_max_cap_is_documented(capsys):
         cli.main(["verify", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
     assert f"--m-max M_MAX at most {cli._MAXIMUM['m_max']}" in help_text
+
+
+#: Each capped option of the 2phi1 sweeps: flag, argparse dest and the
+#: keyword it reaches ``random_hypergeometric_reports`` under.
+SWEEP_CAPS = [
+    ("--qseries-n-max", "qseries_n_max", "n_max"),
+    ("--tuples-per-n", "tuples_per_n", "tuples_per_n"),
+]
+
+
+def _refuse_sweeps(**kwargs):
+    raise AssertionError("no sweep may run above the cap")
+
+
+@pytest.mark.parametrize("flag, dest, keyword", SWEEP_CAPS)
+def test_verify_refuses_a_sweep_option_above_its_cap(capsys, monkeypatch, flag, dest, keyword):
+    monkeypatch.setattr(qseries, "random_hypergeometric_reports", _refuse_sweeps)
+    cap = cli._MAXIMUM[dest]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "qseries", flag, str(cap + 1)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qident: error: {flag} must be at most {cap}, got {cap + 1}\n"
+
+
+@pytest.mark.parametrize("flag, dest, keyword", SWEEP_CAPS)
+def test_verify_accepts_the_sweep_caps(capsys, monkeypatch, flag, dest, keyword):
+    calls = []
+
+    def stand_in(**kwargs):
+        calls.append(kwargs)
+        report = VerificationReport("qchu", params=kwargs)
+        report.record({"n": 0}, 1, 1)
+        return [report]
+
+    monkeypatch.setattr(qseries, "random_hypergeometric_reports", stand_in)
+    cap = cli._MAXIMUM[dest]
+    code, out = run_cli(capsys, "verify", "qseries", flag, str(cap))
+    expected = {"n_max": 8, "tuples_per_n": 20, "seed": qseries.DEFAULT_SEED, keyword: cap}
+    assert code == 0
+    assert calls == [expected]
+    assert json.loads(out)["params"] == expected
+
+
+@pytest.mark.parametrize("flag, dest, keyword", SWEEP_CAPS)
+def test_sweep_caps_are_documented(capsys, flag, dest, keyword):
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"{flag} {dest.upper()} at most {cli._MAXIMUM[dest]}" in help_text
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import cleared
+from qident import cleared, distributions
 from qident.cleared import Cleared
 from qident.qseries import (
     DegenerateParameters,
@@ -338,6 +338,89 @@ def test_terminating_sum_refuses_vanishing_lower_factor(lower, base, n):
         terminating_sum((Fraction(1, 3),), lower, base, Fraction(1, 5), n)
     # the same parameters one step short of the vanishing factor are fine
     terminating_sum((Fraction(1, 3),), lower, base, Fraction(1, 5), n - 1)
+
+
+# --- rational arguments are summed on integer pairs --------------------------
+
+def stepwise_terminating_sum(upper, lower, base, z, n, twist):
+    """The r-phi-s sum on Fractions, one term at a time: each term is the
+    previous one times its term ratio, every operation reduced."""
+    if n > 0 and base == 0:
+        raise DegenerateParameters("series base is zero")
+    term = total = power = Fraction(1)
+    for k in range(1, n + 1):
+        ratio = z * (-power) ** twist
+        for a in upper:
+            ratio *= 1 - a * power
+        for b in (base, *lower):
+            if b * power == 1:
+                raise DegenerateParameters(f"({b}; {base})_{k} vanishes")
+            ratio /= 1 - b * power
+        term *= ratio
+        total += term
+        power *= base
+    return total
+
+
+def stepwise_pochhammer(a, ratio, n):
+    value = Fraction(1)
+    for j in range(n):
+        value *= 1 - a * ratio**j
+    return value
+
+
+def _outcome_or_message(call, *args):
+    try:
+        return "value", call(*args)
+    except DegenerateParameters as exc:
+        return "degenerate", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    upper=st.lists(small, max_size=3),
+    lower=st.lists(small, max_size=2),
+    base=small,
+    z=small | st.just(Fraction(0)),
+    n=st.integers(0, 6),
+    twist=st.integers(-1, 1),
+    vanish_at=st.none() | st.integers(1, 6),
+)
+def test_rational_route_matches_a_stepwise_fraction_sum(
+    upper, lower, base, z, n, twist, vanish_at
+):
+    if vanish_at is not None and base:
+        # 1 - b p^{k-1} vanishes at k = vanish_at, which may lie past n
+        lower = [*lower, base ** (1 - vanish_at)]
+    args = (upper, lower, base, z, n, twist)
+    got = _outcome_or_message(terminating_sum, *args)
+    assert got == _outcome_or_message(stepwise_terminating_sum, *args)
+    if got[0] == "value":
+        assert type(got[1]) is Fraction
+    for a in (base, z, *upper):
+        assert pochhammer(a, base, n) == stepwise_pochhammer(a, base, n)
+
+
+def test_rational_route_edge_cases():
+    assert terminating_sum((), (), Fraction(2, 3), Fraction(5), 0) == 1
+    assert terminating_sum((Fraction(1, 2),), (), Fraction(2, 3), Fraction(0), 4) == 1
+    assert pochhammer(Fraction(3, 2), Fraction(2, 3), 0) == 1
+    # (1; p)_n vanishes from its first factor on
+    assert pochhammer(Fraction(1), Fraction(-1, 2), 3) == 0
+    with pytest.raises(DegenerateParameters, match=r"^\(1/4; 2\)_3 vanishes$"):
+        terminating_sum((), (Fraction(1, 4),), Fraction(2), Fraction(0), 3)
+
+
+def test_truncated_prefactor_is_the_product_of_its_factors():
+    q, u = Fraction(6, 5), Fraction(1, 2)
+    params = distributions.MeasureParams.with_tolerance(q, u, Fraction(1, 10**9))
+    product = Fraction(1)
+    for i in range(1, params.product_cutoff + 1):
+        product *= 1 - u**2 / q ** (2 * i - 1)
+    assert params.product_cutoff > 0
+    assert distributions.truncated_prefactor(distributions.Family.O, params) == (
+        product / (1 + u)
+    )
 
 
 # --- the sweeps compute in the field of their parameters ---------------------
