@@ -45,12 +45,15 @@ _MINIMUM = {
 # of ``dist sample`` are held in memory, about 47 bytes each, before any
 # output, ``verify normalization`` reaches about order 108 in 60 s, with its
 # time growing like order^3.3, and ``verify anz1`` reaches about m_max 61.
+# A partition of size at most the order cap has a first column of at most
+# 128 = 2 * 64, so a k_max above 64 would only compare zero columns.
 # ``verify qseries`` takes about 42 s at n_max 96 (20 tuples per n), with
 # its time growing like n_max^4.5, and about 18 s at 10,000 tuples per n
 # (n_max 8), holding each comparison in memory (2-vCPU VM, Python 3.11.7).
 _MAXIMUM = {
     "count": 10_000_000,
     "order": 128,
+    "k_max": 64,
     "m_max": 128,
     "qseries_n_max": 96,
     "tuples_per_n": 10_000,
@@ -93,7 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--order", type=int, default=12,
         help=f"series order D, at most {_MAXIMUM['order']} (default: 12)",
     )
-    verify.add_argument("--k-max", type=int, default=3, help="marginal column half-range")
+    verify.add_argument(
+        "--k-max", type=int, default=3,
+        help=f"marginal column half-range, at most {_MAXIMUM['k_max']} (default: 3)",
+    )
     verify.add_argument("--seed", type=int, default=qseries.DEFAULT_SEED)
     verify.add_argument(
         "--tuples-per-n", type=int, default=20,

@@ -4,7 +4,8 @@ Each family weights a partition by u^size times the exact unit
 partitions.kernel_weight, normalized by the infinite product
 prod_{i>=1} (1 - u^2/q^{2i-1}) (divided by 1+u for the orthogonal family).
 Every exact value is a ``cleared.Cleared``, so the series below compute on
-the integer kernel with no polynomial gcd.
+the integer kernel with no polynomial gcd.  The marginals are checked
+against ``partitions.column_table``, the weights summed by first column.
 
 The infinite product is handled two ways:
 
@@ -37,7 +38,8 @@ from fractions import Fraction
 from itertools import repeat, starmap
 
 from .cleared import ONE, ZERO, csum, pochhammer_inv_q2, q_power
-from .partitions import ParityConstraint, Partition, enumerate_partitions, kernel_weight
+from .partitions import ParityConstraint, Partition, column_table
+from .partitions import enumerate_partitions, kernel_weight
 from .qseries import TruncatedSeries, pochhammer, reciprocal_pochhammer_series
 from .report import VerificationReport
 
@@ -204,25 +206,19 @@ def first_column_marginal(family: Family, column: int, order: int) -> TruncatedS
 
 def marginal_vs_bruteforce(family: Family, k_max: int, order: int) -> VerificationReport:
     """Compare every marginal coefficient of u^j (j <= order) for first
-    columns up to 2*k_max against direct enumeration of the partitions in
-    that class; a negative k_max, which compares nothing, raises ValueError."""
+    columns up to 2*k_max against the kernel weights of that class summed by
+    ``column_table``; a negative k_max, which compares nothing, raises ValueError."""
     if k_max < 0:
         raise ValueError("k_max must be at least 0")
     report = VerificationReport(
         f"marginals-{family.value}", params={"k_max": k_max, "order": order}
     )
-    by_size = {
-        j: enumerate_partitions(j, family.constraint) for j in range(order + 1)
-    }
+    table = column_table(family.constraint, family.sign, order)
     for column in range(2 * k_max + 1):
         series = first_column_marginal(family, column, order)
         for j in range(order + 1):
-            brute = csum(
-                kernel_weight(p, family.sign) for p in by_size[j] if p.num_parts == column
-            )
-            report.record(
-                {"column": column, "u_power": j}, series.coefficient(j), brute
-            )
+            brute = table.get((j, column), ZERO)
+            report.record({"column": column, "u_power": j}, series.coefficient(j), brute)
     return report
 
 

@@ -2,11 +2,11 @@
 
 Every check compares two independently computed elements of Q(q):
 
-* the enumeration side sums the partition weights of each size, read from
-  a transfer-matrix sweep over the part values (``_sweep``) that shares
-  nothing with the other sides but kernel arithmetic.  One sweep to size n
-  is a table of the sides of every size up to n, so each check binds the
-  table of its m_max once and indexes it: ANZ1 and EQ4 read the sign +1
+* the enumeration side sums the partition weights of each size: ``_sweep``
+  applies the head to ``partitions.column_table``, a transfer-matrix sweep
+  that shares nothing with the other sides but kernel arithmetic.  One
+  sweep to size n gives the sides of every size up to n, so each check binds
+  the table of its m_max once and indexes it: ANZ1 and EQ4 read the sign +1
   table, ANZ2, ANZ3, EQ5 and D_EQ_B2 the sign -1 one, and ``_sweep`` keeps
   two tables, so the checks at one m_max build one per (constraint, sign).
   ``lhs_*`` read one size from a table of their own; ``_enumerated``, the
@@ -60,8 +60,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import lru_cache, wraps
 
-from .cleared import ONE, ZERO, Cleared, csum, pochhammer_inv_q2, q, q_power
-from .partitions import ParityConstraint, enumerate_partitions, kernel_weight
+from .cleared import ZERO, Cleared, csum, pochhammer_inv_q2, q, q_power
+from .partitions import ParityConstraint, column_table, enumerate_partitions, kernel_weight
 from .qseries import (
     DEFAULT_SEED,
     limit_two_phi_one,
@@ -95,38 +95,11 @@ def _enumerated(size: int, constraint: ParityConstraint, sign: int) -> Cleared:
 
 @lru_cache(maxsize=2)  # one table per (constraint, sign) at one m_max
 def _sweep(constraint: ParityConstraint, sign: int, n: int) -> tuple[Cleared, ...]:
-    """The enumeration side of every size 0..n at once: entry s is the sum
-    of summand_weight(p, sign) over the partitions p of s under constraint.
-
-    With N_v the number of parts >= v, so that N_1 is the first column,
-    sum_i columns_i^2 = 2 sum_v binom(N_v, 2) + size, and a weight is
-    x^{sum_v binom(N_v, 2) + sum_parts g(p)} (1 - x^{N_1}) over prod_v
-    (x^2;x^2)_{floor(m_v/2)}, with g(p) = ceil(p/2) for sign +1 and
-    floor(p/2) for sign -1.  Every factor but the head depends on one part
-    value v and N_v alone, so a sweep over v = n, ..., 1 with the state
-    (size so far, N_v) sums all the weights; the head is applied at the
-    end, as value - value x^{N_1}, so both halves share one denominator."""
-    g = (lambda v: (v + 1) // 2) if sign == 1 else (lambda v: v // 2)
-    state = {(0, 0): ONE}
-    for v in range(n, 0, -1):
-        # run of mult parts v: x^{mult g(v)} / (x^2;x^2)_{floor(mult/2)}
-        runs = [
-            (mult, Cleared(shift=mult * g(v), exps=[(2 * i, 1) for i in range(1, mult // 2 + 1)]))
-            for mult in range(n // v + 1)
-            if not mult or constraint.admits_run(v, mult)
-        ]
-        buckets: dict[tuple[int, int], list] = {}
-        for (size, count), value in state.items():
-            for mult, run in runs:
-                if size + mult * v > n:
-                    break
-                buckets.setdefault((size + mult * v, count + mult), []).append(value * run)
-        state = {
-            (size, count): csum(terms) * q_power(-(count * (count - 1) // 2))
-            for (size, count), terms in buckets.items()
-        }
+    """Entry s <= n: the sum of summand_weight(p, sign) over the partitions p
+    of s under constraint, each ``column_table`` entry times its head taken as
+    value - value x^{N_1}, so both halves share one denominator."""
     sides: list[list] = [[] for _ in range(n + 1)]
-    for (size, count), value in state.items():
+    for (size, count), value in column_table(constraint, sign, n).items():
         sides[size] += (value, -value * q_power(-count))
     return tuple(map(csum, sides))
 

@@ -10,9 +10,9 @@ Two parity constraints matter here: "every odd part has even multiplicity"
 even multiplicity" (the orthogonal side, sign -1).
 
 ``kernel_weight`` builds the weight on the integer kernel from
-``multiplicity_factors``, and ``identities.summand_weight`` is it times its
-head (1 - x^{columns_1}); they are what the package computes with and what
-``partitions --weights`` prints.
+``multiplicity_factors``; ``identities.summand_weight`` is it times its head
+(1 - x^{columns_1}), and ``column_table`` sums it by size and first column
+for the ANZ sides and the marginals.
 ``summand_weight`` and ``cl_numerator`` compute the same weights in Q(q),
 the independent route the tests check the kernel against.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property, reduce
 
-from .cleared import Cleared
+from .cleared import ONE, Cleared, csum
 from .qseries import pochhammer_inv_q2
 from .rational import RationalFunction, q_power
 
@@ -211,3 +211,34 @@ def kernel_weight(partition: Partition, sign: int) -> Cleared:
     x^{weight_exponent} / prod_i (x^2;x^2)_{floor(m_i/2)} with x = 1/q."""
     exps = multiplicity_factors(partition)
     return Cleared(shift=weight_exponent(partition, sign), exps=exps)
+
+
+def column_table(constraint: ParityConstraint, sign: int, n: int) -> dict:
+    """{(size, N_1): sum of kernel_weight(p, sign)} over the partitions p of
+    sizes <= n under constraint, N_1 their first column; empty classes are absent.
+    With N_v the number of parts >= v, sum_i columns_i^2 = 2 sum_v
+    binom(N_v, 2) + size, so a kernel weight is x^{sum_v binom(N_v, 2) +
+    sum_parts g(p)} over prod_v (x^2;x^2)_{floor(m_v/2)}, with g(p) =
+    ceil(p/2) for sign +1 and floor(p/2) for sign -1.  Each factor depends
+    on one part value v and N_v alone, so a transfer-matrix sweep over
+    v = n, ..., 1 with the state (size so far, N_v) sums all the weights."""
+    g = (lambda v: (v + 1) // 2) if sign == 1 else (lambda v: v // 2)
+    state = {(0, 0): ONE}
+    for v in range(n, 0, -1):
+        # run of mult parts v: x^{mult g(v)} / (x^2;x^2)_{floor(mult/2)}
+        runs = [
+            (mult, Cleared(shift=mult * g(v), exps=[(2 * i, 1) for i in range(1, mult // 2 + 1)]))
+            for mult in range(n // v + 1)
+            if not mult or constraint.admits_run(v, mult)
+        ]
+        buckets: dict[tuple[int, int], list] = {}
+        for (size, count), value in state.items():
+            for mult, run in runs:
+                if size + mult * v > n:
+                    break
+                buckets.setdefault((size + mult * v, count + mult), []).append(value * run)
+        state = {
+            (size, count): csum(terms) * Cleared(shift=count * (count - 1) // 2)
+            for (size, count), terms in buckets.items()
+        }
+    return state

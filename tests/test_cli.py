@@ -357,6 +357,51 @@ def test_order_cap_is_documented(capsys):
     assert f"at most {cli._MAXIMUM['order']}" in capsys.readouterr().out
 
 
+def test_verify_refuses_a_k_max_above_the_cap(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no marginal may be built above the cap")
+
+    monkeypatch.setattr(distributions, "marginal_vs_bruteforce", refuse)
+    cap = cli._MAXIMUM["k_max"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "marginals", "--k-max", str(cap + 1)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qident: error: --k-max must be at most {cap}, got {cap + 1}\n"
+
+
+def test_verify_accepts_the_k_max_cap(capsys, monkeypatch):
+    k_maxes = []
+
+    def stand_in(family, k_max, order):
+        k_maxes.append(k_max)
+        report = VerificationReport(
+            f"marginals-{family.value}", params={"k_max": k_max, "order": order}
+        )
+        report.record({"column": 0, "u_power": 0}, 1, 1)
+        return report
+
+    monkeypatch.setattr(distributions, "marginal_vs_bruteforce", stand_in)
+    cap = cli._MAXIMUM["k_max"]
+    code, out = run_cli(capsys, "verify", "marginals", "--k-max", str(cap))
+    assert code == 0
+    assert k_maxes == [cap, cap]
+    params = [json.loads(line)["params"] for line in out.splitlines()]
+    assert params == [{"k_max": cap, "order": 12}] * 2
+
+
+def test_k_max_cap_is_documented(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"--k-max K_MAX marginal column half-range, at most {cli._MAXIMUM['k_max']}" in help_text
+
+
+def test_k_max_cap_covers_every_first_column_below_the_order_cap():
+    assert 2 * cli._MAXIMUM["k_max"] >= cli._MAXIMUM["order"]
+
+
 def _refuse_check(m_max):
     raise AssertionError("no table may be built above the cap")
 

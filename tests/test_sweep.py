@@ -1,5 +1,5 @@
-"""The transfer-matrix sweep behind the enumeration sides, and the one
-series per k behind term_d.
+"""The transfer-matrix sweep behind the enumeration sides and the
+marginals' brute-force side, and the one series per k behind term_d.
 
 ``identities._enumerated`` sums the kernel weights of the enumerated
 partitions themselves; it is the reference the sweep is held to here.
@@ -9,8 +9,9 @@ import random
 
 import pytest
 
-from qident import cleared, identities as idn
-from qident.partitions import ParityConstraint
+from qident import cleared, distributions, identities as idn, partitions
+from qident.distributions import Family
+from qident.partitions import ParityConstraint, column_table, enumerate_partitions, kernel_weight
 from qident.qseries import reciprocal_pochhammer_series
 
 SIGNS = (1, -1)
@@ -40,6 +41,19 @@ def test_sweep_matches_enumeration_under_every_constraint(constraint, sign):
     table = idn._sweep.__wrapped__(constraint, sign, 16)
     for size, value in enumerate(table):
         assert value == idn._enumerated(size, constraint, sign), size
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+@pytest.mark.parametrize("constraint", list(ParityConstraint))
+def test_column_table_matches_enumeration_by_size_and_first_column(constraint, sign):
+    table = column_table(constraint, sign, 14)
+    expected = {}
+    for size in range(15):
+        for p in enumerate_partitions(size, constraint):
+            expected.setdefault((size, p.num_parts), []).append(kernel_weight(p, sign))
+    assert sorted(table) == sorted(expected)
+    for key, weights in expected.items():
+        assert table[key] == cleared.csum(weights), key
 
 
 def test_the_checks_at_one_m_max_build_one_table_per_pair():
@@ -95,6 +109,16 @@ def test_enumeration_sides_use_no_enumeration_weight_or_pochhammer(monkeypatch):
                 assert side(m) == expected[side.__name__, m], (side.__name__, m)
     finally:
         _clear_identity_caches()
+
+
+@pytest.mark.parametrize("fam", list(Family))
+def test_marginal_brute_side_uses_no_enumeration_weight_or_pochhammer(monkeypatch, fam):
+    monkeypatch.setattr(distributions, "enumerate_partitions", _refuse)
+    monkeypatch.setattr(distributions, "kernel_weight", _refuse)
+    monkeypatch.setattr(partitions, "pochhammer_inv_q2", _refuse)
+    report = distributions.marginal_vs_bruteforce(fam, 3, 12)
+    assert report.passed
+    assert report.n_checked == 7 * 13
 
 
 def _term_d_per_call(k, m):
