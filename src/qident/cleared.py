@@ -34,8 +34,8 @@ kernel.  ``str`` is the canonical RationalFunction string and ``evaluate``
 is exact, so reports and numeric replays read the same as on
 RationalFunction.  ``identities``, ``distributions`` and
 ``partitions.kernel_weight`` compute on this type, partly through the
-field-generic ``qseries`` engine; the 2phi1 sweeps, on rational
-parameters, sum on integer numerator/denominator pairs there.
+``qseries`` engine, whose one loop ends here in a division by a unit; the
+2phi1 sweeps, on rational parameters, run that loop on integer pairs.
 """
 
 from __future__ import annotations

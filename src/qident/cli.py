@@ -49,15 +49,28 @@ _MINIMUM = {
 # 128 = 2 * 64, so a k_max above 64 would only compare zero columns.
 # ``verify qseries`` takes about 42 s at n_max 96 (20 tuples per n), with
 # its time growing like n_max^4.5, and about 18 s at 10,000 tuples per n
-# (n_max 8), holding each comparison in memory (2-vCPU VM, Python 3.11.7).
+# (n_max 8), holding each comparison in memory.  The worst family of
+# ``dist`` (o, at q = 2, u = 1/2) takes about 26 s and 358 MB at max_size
+# 56, with its time growing about 1.2-fold per size, and ``partitions
+# --weights sp`` about 21 s at n 42, about 1.26-fold per n (2-vCPU VM,
+# Python 3.11.7).
 _MAXIMUM = {
     "count": 10_000_000,
+    "max_size": 56,
+    "n": 42,
     "order": 128,
     "k_max": 64,
     "m_max": 128,
     "qseries_n_max": 96,
     "tuples_per_n": 10_000,
 }
+
+# Largest cutoff of the normalizing product that ``dist`` computes.  The
+# exact prefactor's numerator and denominator grow like cutoff^2 bits and
+# its time like cutoff^4 (0.004 s at 111, 0.1 s at 223, 7.3 s at 570), and
+# from a cutoff of about 119 on its denominator has more than the 4300
+# digits Python prints.  q = 11/10 at u = 1/2 needs 111.
+_MAX_PRODUCT_CUTOFF = 128
 
 
 def _json(obj) -> str:
@@ -113,7 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     parts = sub.add_parser("partitions", help="enumerate constrained partitions")
-    parts.add_argument("--n", type=int, required=True)
+    parts.add_argument(
+        "--n", type=int, required=True, help=f"partition size, at most {_MAXIMUM['n']}"
+    )
     parts.add_argument(
         "--constraint", choices=sorted(c.value for c in ParityConstraint), default="none"
     )
@@ -128,8 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", choices=("sp", "o"), required=True)
         p.add_argument("--q", type=_fraction, required=True)
         p.add_argument("--u", type=_fraction, required=True)
-        p.add_argument("--max-size", type=int, default=6)
-        p.add_argument("--tail-tol", type=_fraction, default=_DEFAULT_TAIL_TOLERANCE)
+        p.add_argument(
+            "--max-size", type=int, default=6,
+            help=f"largest partition size, at most {_MAXIMUM['max_size']} (default: 6)",
+        )
+        p.add_argument(
+            "--tail-tol", type=_fraction, default=_DEFAULT_TAIL_TOLERANCE,
+            help="relative tail bound of the normalizing product, whose cutoff "
+            f"may be at most {_MAX_PRODUCT_CUTOFF} (default: 1/10^9)",
+        )
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     deval = dist_sub.add_parser("eval", help="per-partition probabilities")
@@ -207,9 +229,15 @@ def cmd_partitions(args) -> int:
 
 def _measure_params(args) -> MeasureParams:
     try:
-        return MeasureParams.with_tolerance(args.q, args.u, args.tail_tol)
+        params = MeasureParams.with_tolerance(args.q, args.u, args.tail_tol)
     except ValueError as exc:
         raise _Usage(str(exc)) from exc
+    if params.product_cutoff > _MAX_PRODUCT_CUTOFF:
+        raise _Usage(
+            f"--q, --u and --tail-tol need a product cutoff of {params.product_cutoff}, "
+            f"above the cap of {_MAX_PRODUCT_CUTOFF}"
+        )
+    return params
 
 
 def cmd_dist_eval(args) -> int:

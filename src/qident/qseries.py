@@ -25,13 +25,15 @@ Representation: the engine -- ``pochhammer``, ``terminating_sum``, the
 operations and truthiness only.  ``as_element`` is the one coercion rule at
 its boundary: a ``cleared.Cleared`` (the integer kernel), a
 RationalFunction or a Fraction stays as it is, an int becomes a Fraction,
-and anything else goes into Q(q).  When every argument is rational (an int
-or a Fraction), ``pochhammer`` and ``terminating_sum`` run the same loop on
-integer (numerator, denominator) pairs, unreduced, and build one Fraction
-at the end, so each call takes one gcd instead of one per field operation;
-every other field takes the generic loop.  So the randomized 2phi1 sweeps,
-which draw rational parameters, sum on integer pairs, and the identity
-chain and the distribution series compute on the kernel.
+and anything else goes into Q(q).  ``pochhammer`` and ``terminating_sum``
+each run one loop on unreduced (numerator, denominator) pairs and divide
+once at the end.  When every argument is rational (an int or a Fraction)
+the pairs are ints and the end is one Fraction, so each call takes one gcd
+instead of one per field operation; otherwise each argument enters as the
+pair (element, 1) and the end is one field division, which on the kernel
+is a division by a unit.  So the randomized 2phi1 sweeps, which draw
+rational parameters, sum on integer pairs, and the identity chain and the
+distribution series compute on the kernel.
 """
 
 from __future__ import annotations
@@ -66,40 +68,38 @@ def as_element(value) -> Element:
     return RationalFunction(value)
 
 
-def _int_pairs(values) -> list | None:
-    """The (numerator, denominator) int pair of each value when every value
-    is an int or a Fraction; None when any is not."""
-    pairs = []
-    for v in values:
-        if not isinstance(v, (int, Fraction)):
-            return None
-        pairs.append((v.numerator, v.denominator))
-    return pairs
+def _pairs(values) -> list:
+    """Each value as a (numerator, denominator) pair: its int pair when every
+    value is an int or a Fraction, else (``as_element(value)``, 1)."""
+    pairs = [(v.numerator, v.denominator) for v in values if isinstance(v, (int, Fraction))]
+    if len(pairs) == len(values):
+        return pairs
+    return [(as_element(v), 1) for v in values]
+
+
+def _quotient(num, den) -> Element:
+    """num / den: one Fraction on ints, else a field division (on the kernel,
+    by a unit)."""
+    return Fraction(num, den) if isinstance(num, int) else num / den
 
 
 def pochhammer(a, ratio, n: int) -> Element:
-    """(a; ratio)_n, exactly, in the field of a; n = 0 gives 1.  On a
-    rational a and ratio the factors are multiplied as unreduced int pairs
-    and reduced once, at the end."""
+    """(a; ratio)_n, exactly, in the field of a; n = 0 gives that field's 1.
+    The factors 1 - a ratio^j are multiplied as unreduced (numerator,
+    denominator) pairs (``_pairs``), with ratio^j = p_n / p_d, and divided
+    once, at the end: one Fraction on rational arguments, else one field
+    division."""
     if n < 0:
         raise ValueError("Pochhammer length must be nonnegative")
-    pairs = _int_pairs((a, ratio))
-    if pairs:
-        (a_n, a_d), (r_n, r_d) = pairs
-        num = den = p_n = p_d = 1  # ratio^j = p_n / p_d
-        for _ in range(n):
-            num *= a_d * p_d - a_n * p_n
-            den *= a_d * p_d
-            p_n *= r_n
-            p_d *= r_d
-        return Fraction(num, den)
-    a = as_element(a)
-    ratio = as_element(ratio)
-    value = power = a ** 0
+    (a_n, a_d), (r_n, r_d) = _pairs((a, ratio))
+    num = p_n = a_n ** 0
+    den = p_d = 1
     for _ in range(n):
-        value = value * (1 - a * power)
-        power = power * ratio
-    return value
+        num *= a_d * p_d - a_n * p_n
+        den *= a_d * p_d
+        p_n *= r_n
+        p_d *= r_d
+    return _quotient(num, den)
 
 
 #: lru_cache size of ``pochhammer_inv_q2``: n = 0..127 stay cached.
@@ -149,65 +149,34 @@ def terminating_sum(upper, lower, base, z, n: int, twist: int = 0) -> Element:
 
     Each term is the previous one times the term ratio
     prod_i (1 - a_i p^{k-1}) z ((-1) p^{k-1})^twist
-    / ((1 - p^k) prod_j (1 - b_j p^{k-1})), using only field operations,
-    so the sum is computed in the parameters' field (and added up by
-    ``cleared.csum``); on rational parameters the same loop runs on
-    integer pairs (``_rational_terminating_sum``).  A negative n raises
-    ValueError, as in ``pochhammer``;
-    a zero base with n > 0, or a denominator factor that vanishes at some
-    k <= n, raises DegenerateParameters.
+    / ((1 - p^k) prod_j (1 - b_j p^{k-1})), on unreduced (numerator,
+    denominator) pairs (``_pairs``): with p^{k-1} = p_n / p_d each factor
+    1 - b p^{k-1} is (b_d p_d - b_n p_n) / (b_d p_d).  Term k is term / den
+    and the sum through k is total / den, so a ratio r_n / r_d updates them
+    as term *= r_n, den *= r_d, total = total * r_d + term, and the sum
+    ends in one division.  A negative n raises ValueError, as in
+    ``pochhammer``; a zero base with n > 0, or a denominator factor that
+    vanishes at some k <= n, raises DegenerateParameters.
     """
     if n < 0:
         raise ValueError(f"sum length must be nonnegative, got n={n}")
     if n > 0 and not base:
         raise DegenerateParameters("series base is zero")
-    pairs = _int_pairs((base, z, *upper, *lower))
-    if pairs:
-        return _rational_terminating_sum(pairs, len(upper), n, twist)
-    term = power = as_element(base) ** 0  # power is p^{k-1} while term k is built
-    terms = [term]
-    for k in range(1, n + 1):
-        den = 1
-        for b in (base, *lower):
-            factor = 1 - b * power
-            if not factor:
-                raise DegenerateParameters(f"({b}; {base})_{k} vanishes")
-            den = den * factor
-        num = z
-        for a in upper:
-            num = num * (1 - a * power)
-        if twist:
-            num = num * (-power) ** twist
-        term = term * num / den
-        terms.append(term)
-        power = power * base
-    return csum(terms)
-
-
-def _rational_terminating_sum(pairs, n_upper: int, n: int, twist: int) -> Fraction:
-    """``terminating_sum`` on the int pairs of (base, z, *upper, *lower).
-
-    The same term ratios, built on ints and never reduced: with
-    p^{k-1} = p_n / p_d each factor 1 - b p^{k-1} is
-    (b_d p_d - b_n p_n) / (b_d p_d).  Term k is term / den and the sum
-    through k is total / den, so a ratio r_n / r_d updates them as
-    term *= r_n, den *= r_d, total = total * r_d + term.  The one
-    Fraction at the end takes the one gcd.
-    """
-    (q_n, q_d), (z_n, z_d), *rest = pairs
-    upper, bottom = rest[:n_upper], [(q_n, q_d), *rest[n_upper:]]  # (base, *lower)
-    term = total = den = p_n = p_d = 1
+    (q_n, q_d), (z_n, z_d), *rest = _pairs((base, z, *upper, *lower))
+    tops, bottoms = rest[:len(upper)], [(q_n, q_d), *rest[len(upper):]]
+    term = total = p_n = q_n ** 0
+    den = p_d = 1
     for k in range(1, n + 1):
         r_n, r_d = z_n, z_d
-        for b_n, b_d in bottom:
+        for b_n, b_d in bottoms:
             factor = b_d * p_d - b_n * p_n
             if not factor:
-                raise DegenerateParameters(
-                    f"({Fraction(b_n, b_d)}; {Fraction(q_n, q_d)})_{k} vanishes"
-                )
+                # an equal pair earlier in bottoms would have vanished first
+                b = (base, *lower)[bottoms.index((b_n, b_d))]
+                raise DegenerateParameters(f"({b}; {base})_{k} vanishes")
             r_n *= b_d * p_d
             r_d *= factor
-        for a_n, a_d in upper:
+        for a_n, a_d in tops:
             r_n *= a_d * p_d - a_n * p_n
             r_d *= a_d * p_d
         if twist > 0:
@@ -221,7 +190,7 @@ def _rational_terminating_sum(pairs, n_upper: int, n: int, twist: int) -> Fracti
         total = total * r_d + term
         p_n *= q_n
         p_d *= q_d
-    return Fraction(total, den)
+    return _quotient(total, den)
 
 
 def _terminator(base, n: int):

@@ -504,6 +504,146 @@ def test_sweep_caps_are_documented(capsys, flag, dest, keyword):
     assert f"{flag} {dest.upper()} at most {cli._MAXIMUM[dest]}" in help_text
 
 
+DIST_ARGV = ["dist", "eval", "--family", "sp", "--q", "2", "--u", "1/2"]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("no weight or prefactor may be computed above the cap")
+
+
+def test_dist_refuses_a_max_size_above_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(distributions, "support_weights", _refuse)
+    monkeypatch.setattr(distributions, "sample", _refuse)
+    cap = cli._MAXIMUM["max_size"]
+    for action in ("eval", "sample"):
+        argv = [*DIST_ARGV, "--max-size", str(cap + 1)]
+        argv[1] = action
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qident: error: --max-size must be at most {cap}, got {cap + 1}\n"
+
+
+def test_dist_accepts_the_max_size_cap(capsys, monkeypatch):
+    sizes = []
+
+    def stand_in(family, params, max_size):
+        sizes.append(max_size)
+        return [], []
+
+    monkeypatch.setattr(distributions, "support_weights", stand_in)
+    cap = cli._MAXIMUM["max_size"]
+    code, out = run_cli(capsys, *DIST_ARGV, "--max-size", str(cap))
+    assert code == 0
+    assert sizes == [cap]
+    assert json.loads(out)["support_probability"] == "0"
+
+
+def test_max_size_cap_is_documented(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["dist", "eval", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    cap = cli._MAXIMUM["max_size"]
+    assert f"--max-size MAX_SIZE largest partition size, at most {cap}" in help_text
+
+
+def test_partitions_refuses_an_n_above_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_partitions", _refuse)
+    cap = cli._MAXIMUM["n"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["partitions", "--n", str(cap + 1), "--weights", "sp"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qident: error: --n must be at most {cap}, got {cap + 1}\n"
+
+
+def test_partitions_accepts_the_n_cap(capsys, monkeypatch):
+    sizes = []
+
+    def stand_in(n, constraint):
+        sizes.append(n)
+        return iter(())
+
+    monkeypatch.setattr(cli, "enumerate_partitions", stand_in)
+    cap = cli._MAXIMUM["n"]
+    code, out = run_cli(capsys, "partitions", "--n", str(cap), "--weights", "sp")
+    assert (code, out, sizes) == (0, "", [cap])
+
+
+def test_n_cap_is_documented(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["partitions", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"--n N partition size, at most {cli._MAXIMUM['n']}" in help_text
+
+
+def _tail_tolerance_for_cutoff(cutoff):
+    """The --tail-tol whose smallest admissible product cutoff at q = 2,
+    u = 1/2 is exactly ``cutoff``."""
+    bound = MeasureParams(2, Fraction(1, 2), cutoff, 1).tail_bound
+    assert MeasureParams.with_tolerance(2, Fraction(1, 2), bound).product_cutoff == cutoff
+    return str(bound)
+
+
+@pytest.mark.parametrize(
+    "argv, cutoff",
+    [
+        (["dist", "eval", "--family", "sp", "--q", "101/100", "--u", "1/2"], 1169),
+        (["dist", "sample", "--family", "o", "--q", "101/100", "--u", "1/2"], 1169),
+        (
+            [*DIST_ARGV, "--tail-tol", _tail_tolerance_for_cutoff(cli._MAX_PRODUCT_CUTOFF + 1)],
+            cli._MAX_PRODUCT_CUTOFF + 1,
+        ),
+    ],
+    ids=["eval-near-1", "sample-near-1", "eval-tight-tolerance"],
+)
+def test_dist_refuses_a_product_cutoff_above_the_cap(capsys, monkeypatch, argv, cutoff):
+    for name in ("truncated_prefactor", "support_weights", "sample"):
+        monkeypatch.setattr(distributions, name, _refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"qident: error: --q, --u and --tail-tol need a product cutoff of {cutoff}, "
+        f"above the cap of {cli._MAX_PRODUCT_CUTOFF}\n"
+    )
+
+
+def test_dist_accepts_the_product_cutoff_cap(capsys, monkeypatch):
+    cutoffs = []
+
+    def stand_in(family, params):
+        cutoffs.append(params.product_cutoff)
+        return Fraction(1, 2)
+
+    monkeypatch.setattr(distributions, "truncated_prefactor", stand_in)
+    cap = cli._MAX_PRODUCT_CUTOFF
+    tolerance = _tail_tolerance_for_cutoff(cap)
+    code, out = run_cli(capsys, *DIST_ARGV, "--max-size", "0", "--tail-tol", tolerance)
+    assert code == 0
+    assert cutoffs == [cap]
+    assert json.loads(out.splitlines()[0])["probability"] == "1/2"
+
+
+def test_product_cutoff_cap_admits_q_eleven_tenths():
+    tolerance = cli._DEFAULT_TAIL_TOLERANCE
+    params = MeasureParams.with_tolerance(Fraction(11, 10), Fraction(1, 2), tolerance)
+    assert params.product_cutoff == 111 <= cli._MAX_PRODUCT_CUTOFF
+
+
+def test_product_cutoff_cap_is_documented(capsys):
+    for action in ("eval", "sample"):
+        with pytest.raises(SystemExit):
+            cli.main(["dist", action, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"whose cutoff may be at most {cli._MAX_PRODUCT_CUTOFF}" in help_text
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_one_without_a_traceback(unbuffered):
     # about 700 kB of rows, far more than a pipe holds, so the CLI is still

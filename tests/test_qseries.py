@@ -411,6 +411,86 @@ def test_rational_route_edge_cases():
         terminating_sum((), (Fraction(1, 4),), Fraction(2), Fraction(0), 3)
 
 
+# --- the kernel and Q(q) run the same loop -----------------------------------
+
+def stepwise_field_sum(upper, lower, base, z, n, twist):
+    """The r-phi-s sum in the field of base, one term ratio at a time, each
+    factor divided out as it comes; a vanishing factor raises
+    ZeroDivisionError."""
+    term = total = power = base ** 0
+    for _ in range(n):
+        ratio = z * (-power) ** twist
+        for a in upper:
+            ratio = ratio * (1 - a * power)
+        for b in (base, *lower):
+            ratio = ratio / (1 - b * power)
+        term = term * ratio
+        total = total + term
+        power = power * base
+    return total
+
+
+def stepwise_field_pochhammer(a, ratio, n):
+    value = power = a ** 0
+    for _ in range(n):
+        value = value * (1 - a * power)
+        power = power * ratio
+    return value
+
+
+@pytest.mark.parametrize(
+    "power_of_q", [cleared.q_power, q_power], ids=["Cleared", "RationalFunction"]
+)
+def test_one_loop_matches_a_stepwise_sum_in_the_field_of_its_arguments(power_of_q):
+    rng = random.Random(f"field-loop:{power_of_q.__module__}")
+    kind = type(power_of_q(0))
+    sums = degenerate = 0
+    for n in range(7):
+        for twist in (-1, 0, 1):
+            for _ in range(4):
+                base = power_of_q(rng.choice((-2, -1, 1, 2)))
+                z = power_of_q(rng.randint(-3, 3))
+                upper = [power_of_q(rng.randint(-4, 4)) for _ in range(rng.randint(0, 2))]
+                lower = [power_of_q(rng.randint(-4, 4)) for _ in range(rng.randint(0, 1))]
+                try:
+                    expected = stepwise_field_sum(upper, lower, base, z, n, twist)
+                except ZeroDivisionError:
+                    with pytest.raises(DegenerateParameters):
+                        terminating_sum(upper, lower, base, z, n, twist)
+                    degenerate += 1
+                    continue
+                got = terminating_sum(upper, lower, base, z, n, twist)
+                assert got == expected, (n, twist)
+                assert type(got) is kind
+                sums += 1
+            for a in (base, z):
+                got = pochhammer(a, base, n)
+                assert got == stepwise_field_pochhammer(a, base, n)
+                assert type(got) is kind
+    assert sums > 50 and degenerate > 0
+
+
+@pytest.mark.parametrize(
+    "power_of_q", [cleared.q_power, q_power], ids=["Cleared", "RationalFunction"]
+)
+def test_one_loop_keeps_the_field_of_its_arguments_at_n_zero(power_of_q):
+    base, z = power_of_q(1), power_of_q(-3)
+    kind = type(base)
+    for twist in (-1, 0, 1):
+        got = terminating_sum((power_of_q(2),), (power_of_q(-1),), base, z, 0, twist)
+        assert type(got) is kind and got == 1
+    got = pochhammer(power_of_q(2), base, 0)
+    assert type(got) is kind and got == 1
+
+
+def test_vanishing_kernel_lower_parameter_is_named():
+    # 1 - q^{-2} p^2 vanishes at k = 3 for the base p = q
+    lower = (cleared.q_power(-2),)
+    with pytest.raises(DegenerateParameters, match=r"^\(1/q\^2; q\)_3 vanishes$"):
+        terminating_sum((), lower, cleared.q, cleared.q_power(1), 3)
+    assert type(terminating_sum((), lower, cleared.q, cleared.q_power(1), 2)) is Cleared
+
+
 def test_truncated_prefactor_is_the_product_of_its_factors():
     q, u = Fraction(6, 5), Fraction(1, 2)
     params = distributions.MeasureParams.with_tolerance(q, u, Fraction(1, 10**9))
