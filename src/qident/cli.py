@@ -43,8 +43,8 @@ _MINIMUM = {
 
 # Largest accepted value of an integer option, by argparse dest: the draws
 # of ``dist sample`` are held in memory, about 47 bytes each, before any
-# output, ``verify normalization`` reaches about order 108 in 60 s, with its
-# time growing like order^3.3, and ``verify anz1`` reaches about m_max 61.
+# output, ``verify normalization`` takes about 46 s at the order cap of 128,
+# its time growing like order^4.5, and ``verify anz1`` reaches about m_max 61.
 # A partition of size at most the order cap has a first column of at most
 # 128 = 2 * 64, so a k_max above 64 would only compare zero columns.
 # ``verify qseries`` takes about 42 s at n_max 96 (20 tuples per n), with

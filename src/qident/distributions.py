@@ -4,8 +4,10 @@ Each family weights a partition by u^size times the exact unit
 partitions.kernel_weight, normalized by the infinite product
 prod_{i>=1} (1 - u^2/q^{2i-1}) (divided by 1+u for the orthogonal family).
 Every exact value is a ``cleared.Cleared``, so the series below compute on
-the integer kernel with no polynomial gcd.  The marginals are checked
-against ``partitions.column_table``, the weights summed by first column.
+the integer kernel with no polynomial gcd and divide no series: each
+marginal coefficient is a unit times ``identities.coeff_u_lemma``.  The
+marginals are checked against ``partitions.column_table``, the weights
+summed by first column.
 
 The infinite product is handled two ways:
 
@@ -38,9 +40,10 @@ from fractions import Fraction
 from itertools import repeat, starmap
 
 from .cleared import ONE, ZERO, csum, pochhammer_inv_q2, q_power
+from .identities import coeff_u_lemma
 from .partitions import ParityConstraint, Partition, column_table
 from .partitions import enumerate_partitions, kernel_weight
-from .qseries import TruncatedSeries, pochhammer, reciprocal_pochhammer_series
+from .qseries import TruncatedSeries, pochhammer
 from .report import VerificationReport
 
 
@@ -169,15 +172,16 @@ def marginal_series(family: Family, parity: str, k: int, order: int) -> Truncate
         O,  column 2k:    u^{2k} / (q^{2k^2-k} (1/q^2;1/q^2)_k   (u^2/q;1/q^2)_k)
 
     k = 0 with even parity is the empty-partition class, the constant 1.
+    By the q-binomial theorem, u^{2n} has the coefficient
+    ``coeff_u_lemma(k, k + n)`` in 1/(u^2/q;1/q^2)_k, so each coefficient
+    is set as a product of two units.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    if k == 0:
-        if parity == "odd":
-            raise ValueError("the odd-column index starts at k = 1")
-        return TruncatedSeries.constant(ONE, order)
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if k == 0 and parity == "odd":
+        raise ValueError("the odd-column index starts at k = 1")
     if family is Family.SP:
         if parity == "even":
             lead, expo, poch_len = 2 * k, 2 * k * k + k, k
@@ -189,10 +193,10 @@ def marginal_series(family: Family, parity: str, k: int, order: int) -> Truncate
         else:
             lead, expo, poch_len = 2 * k, 2 * k * k - k, k
     head = q_power(-expo) / pochhammer_inv_q2(poch_len)
-    tail = reciprocal_pochhammer_series(
-        q_power(-1), q_power(-2), k, order, step=2
-    )
-    return TruncatedSeries.monomial(lead, order, head) * tail
+    coeffs = [ZERO] * (order + 1)
+    for n in range((order - lead) // 2 + 1):
+        coeffs[lead + 2 * n] = head * coeff_u_lemma(k, k + n)
+    return TruncatedSeries(order, tuple(coeffs))
 
 
 def first_column_marginal(family: Family, column: int, order: int) -> TruncatedSeries:
@@ -248,12 +252,12 @@ def normalization_check(family: Family, order: int) -> VerificationReport:
     total = TruncatedSeries(
         order, tuple(csum(s.coeffs[j] for s in columns) for j in range(order + 1))
     )
-    prefactor = prefactor_series(order)
-    if family is Family.O:  # times 1/(1 + u)
-        prefactor = prefactor * reciprocal_pochhammer_series(-ONE, ONE, 1, order)
-    product = total * prefactor
+    product = list((total * prefactor_series(order)).coeffs)
+    if family is Family.O:  # divided by 1 + u in place, j ascending
+        for j in range(1, order + 1):
+            product[j] -= product[j - 1]
     for j in range(order + 1):
-        report.record({"u_power": j}, product.coefficient(j), ONE if j == 0 else ZERO)
+        report.record({"u_power": j}, product[j], ONE if j == 0 else ZERO)
     return report
 
 

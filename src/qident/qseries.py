@@ -13,8 +13,9 @@ terminating sum on either side is built by the one term-ratio engine
 TruncatedSeries provides formal power series in an auxiliary variable u
 with field coefficients, exact through a caller-chosen order.  It serves
 as the coefficient-extraction oracle for the closed forms used by the
-identity proofs (and by the distribution marginals).  Each coefficient of
-a product or a reciprocal is one ``csum`` over its products.
+identity proofs (``D_EQ_B2`` checks a divided series against the
+coefficient lemma, which builds the distribution marginals).  Each
+coefficient of a product or a reciprocal is one ``csum`` over its products.
 ``reciprocal_pochhammer_series`` divides 1 by its factors 1 - c u^step
 in place, one factor at a time, instead of multiplying them out
 (``pochhammer_series``) and inverting the product.

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qident import cleared, distributions, qseries
+from qident.cleared import ONE, csum
 from qident.distributions import (
     RANDOM_SCALE,
     Family,
@@ -26,7 +28,7 @@ from qident.distributions import (
     truncated_prefactor,
 )
 from qident.partitions import Partition, cl_numerator, enumerate_partitions
-from qident.qseries import pochhammer_inv_q2
+from qident.qseries import TruncatedSeries, pochhammer_inv_q2, reciprocal_pochhammer_series
 from qident.rational import q_power
 
 HALF = Fraction(1, 2)
@@ -376,3 +378,65 @@ def test_marginal_vs_bruteforce_refuses_negative_k_max(fam):
     # k_max = -1 has no column to compare, so it would pass vacuously
     with pytest.raises(ValueError, match="k_max"):
         marginal_vs_bruteforce(fam, -1, 4)
+
+
+# (lead, expo, poch_len) of each first-column class, from the
+# ``marginal_series`` docstring: u^lead / (q^expo (1/q^2;1/q^2)_poch_len ...)
+_CLASS_SHAPE = {
+    (Family.SP, "even"): lambda k: (2 * k, 2 * k * k + k, k),
+    (Family.SP, "odd"): lambda k: (2 * k, 2 * k * k - k, k - 1),
+    (Family.O, "odd"): lambda k: (2 * k - 1, 2 * k * k - 3 * k + 1, k - 1),
+    (Family.O, "even"): lambda k: (2 * k, 2 * k * k - k, k),
+}
+
+
+def _marginal_by_division(fam, parity, k, order):
+    """The marginal core series by the division route: the head monomial
+    times 1/(u^2/q; 1/q^2)_k, the tail divided out of 1 factor by factor."""
+    lead, expo, poch_len = _CLASS_SHAPE[fam, parity](k)
+    head = cleared.q_power(-expo) / cleared.pochhammer_inv_q2(poch_len)
+    tail = reciprocal_pochhammer_series(
+        cleared.q_power(-1), cleared.q_power(-2), k, order, step=2
+    )
+    return TruncatedSeries.monomial(lead, order, head) * tail
+
+
+@pytest.mark.parametrize("fam,parity", list(_CLASS_SHAPE))
+def test_marginal_closed_form_matches_the_division_route(fam, parity):
+    for k in range(1, 9):
+        for order in (2 * k - 2, 2 * k + 1, 13, 24):
+            closed = marginal_series(fam, parity, k, order)
+            divided = _marginal_by_division(fam, parity, k, order)
+            assert closed.order == divided.order == order
+            for j, (a, b) in enumerate(zip(closed.coeffs, divided.coeffs)):
+                assert a == b, (fam, parity, k, order, j)
+                assert a.to_rational() == b.to_rational(), (fam, parity, k, order, j)
+
+
+@pytest.mark.parametrize("fam", list(Family))
+def test_normalization_lhs_is_total_times_prefactor_over_one_plus_u(fam):
+    for order in range(13):
+        columns = [first_column_marginal(fam, c, order) for c in range(order + 1)]
+        total = TruncatedSeries(
+            order, tuple(csum(s.coeffs[j] for s in columns) for j in range(order + 1))
+        )
+        expected = total * prefactor_series(order)
+        if fam is Family.O:
+            expected = expected * reciprocal_pochhammer_series(-ONE, ONE, 1, order)
+        report = normalization_check(fam, order)
+        assert [r.lhs_value for r in report.results] == list(expected.coeffs)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the marginal and normalization series must divide no series")
+
+
+@pytest.mark.parametrize("fam", list(Family))
+def test_marginal_and_normalization_series_divide_no_series(monkeypatch, fam):
+    # patched where it is defined and, if imported by name, where it is used
+    for module in (qseries, distributions):
+        monkeypatch.setattr(module, "reciprocal_pochhammer_series", _refuse, raising=False)
+    monkeypatch.setattr(TruncatedSeries, "reciprocal", _refuse)
+    monkeypatch.setattr(TruncatedSeries, "monomial", _refuse)
+    for report in (marginal_vs_bruteforce(fam, 3, 12), normalization_check(fam, 12)):
+        assert report.passed and report.n_checked > 0, report.summary()
