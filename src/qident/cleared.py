@@ -170,11 +170,14 @@ def _sum(values) -> "Cleared":
 
 
 def _lift(value):
-    """A kernel value, an int as a kernel constant, else None."""
+    """A kernel value, an int or an integral Fraction as a kernel constant,
+    else None."""
     if isinstance(value, Cleared):
         return value
     if isinstance(value, int):
         return Cleared._raw(0, (value,), ()) if value else ZERO
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return _lift(value.numerator)
     return None
 
 
@@ -381,7 +384,7 @@ def csum(terms):
     zero); if any term is something else, such as a RationalFunction or a
     Fraction, the terms are added with ``sum`` instead."""
     terms = list(terms)
-    lifted = [_lift(t) for t in terms]
+    lifted = [None if isinstance(t, Fraction) else _lift(t) for t in terms]
     if any(t is None for t in lifted):
         return sum(terms)
     return _sum(lifted)

@@ -26,7 +26,9 @@ an integer 0 <= k < 2^53, and for an integer k, cdf_i > k / 2^53 holds
 exactly when T_i > k, so bisecting the integers T at k draws the same
 partition as bisecting the exact rational CDF at random().  Every T_i and
 every k is an integer of at most 2^53, hence an exact double, so the draws
-bisect a float copy of T at the float k with the same outcome.
+bisect a float copy of T at the float k with the same outcome.  A sample is
+planned (``plan_sample``) before its first draw, and ``SamplePlan.draw``
+then yields the draws in batches of ``BATCH``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat, starmap
+from itertools import chain, repeat, starmap
 
 from .cleared import ONE, ZERO, csum, pochhammer_inv_q2, q_power
 from .identities import coeff_u_lemma
@@ -217,7 +219,7 @@ def marginal_vs_bruteforce(family: Family, k_max: int, order: int) -> Verificati
     report = VerificationReport(
         f"marginals-{family.value}", params={"k_max": k_max, "order": order}
     )
-    table = column_table(family.constraint, family.sign, order)
+    table = column_table(family.constraint, family.sign, order, 2 * k_max)
     for column in range(2 * k_max + 1):
         series = first_column_marginal(family, column, order)
         for j in range(order + 1):
@@ -294,56 +296,6 @@ def truncated_distribution(
     return [(p, w / total) for p, w in zip(support, weights)]
 
 
-@dataclass(frozen=True)
-class SampleResult:
-    """Draws from the truncated measure plus the truncation accounting.
-
-    The draws are kept as ``indices`` into ``support``, the enumerated
-    truncated support; ``partitions`` maps them to the partitions."""
-
-    family: Family
-    params: MeasureParams
-    max_size: int
-    seed: int
-    support: tuple[Partition, ...]
-    indices: tuple[int, ...]
-    support_probability: Fraction
-    truncated_mass_bound: Fraction
-
-    @property
-    def partitions(self) -> tuple[Partition, ...]:
-        return tuple(map(self.support.__getitem__, self.indices))
-
-    def render_draws(self, render) -> list:
-        """``render(p)`` for every draw p, in draw order.  ``render`` runs
-        once per distinct drawn index and its result is shared by all of
-        that index's draws."""
-        rendered = {i: render(self.support[i]) for i in set(self.indices)}
-        return list(map(rendered.__getitem__, self.indices))
-
-    def metadata(self) -> dict:
-        """The parameters and the truncation accounting, as JSON values."""
-        return {
-            "family": self.family.value,
-            "params": {
-                "q": str(self.params.q),
-                "u": str(self.params.u),
-                "product_cutoff": self.params.product_cutoff,
-                "tail_tolerance": str(self.params.tail_tolerance),
-            },
-            "max_size": self.max_size,
-            "seed": self.seed,
-            "support_probability": str(self.support_probability),
-            "truncated_mass_bound": str(self.truncated_mass_bound),
-        }
-
-    def to_json_dict(self) -> dict:
-        return {
-            "samples": self.render_draws(Partition.to_json),
-            "metadata": self.metadata(),
-        }
-
-
 def truncated_mass_bound(params: MeasureParams, support_mass: Fraction) -> Fraction:
     """Upper bound on the true measure outside the support, given the
     probability ``support_mass`` computed for the support with the truncated
@@ -368,36 +320,111 @@ def cdf_thresholds(weights: list[Fraction], total: Fraction) -> list[int]:
     return thresholds
 
 
-def sample(
-    family: Family,
-    params: MeasureParams,
-    max_size: int,
-    count: int,
-    seed: int,
-) -> SampleResult:
-    """Inverse-CDF draws over the enumerated truncated support.
+#: Draws per batch of ``SamplePlan.draw``: each batch is drawn, checked and
+#: bisected in C-level passes, so memory stays bounded at any count.
+BATCH = 1 << 16
 
-    Each draw takes k = random() * 2^53, an exact integer below 2^53, and
-    is kept as the support index ``bisect_right(T, k)`` over the
-    ``cdf_thresholds`` T.  Since cdf_i > k / 2^53 exactly when T_i > k, this
-    is the index the exact rational CDF gives at random(); the last
-    threshold, 2^53, exceeds every k.  The bisection runs on the float grid
-    ``float(T_i)``: every T_i and every k is an integer of at most 2^53,
-    hence an exact double, so each float comparison is the integer one.
 
-    All ``count`` draws are scaled, checked and bisected in C-level passes.
-    One batched check comes before any bisection: a random() that is not
-    k / 2^53 with 0 <= k < 2^53 (0.1, 1.0, a negative value, inf or NaN)
-    raises ValueError, naming the first such value, instead of being drawn.
+@dataclass(frozen=True)
+class SamplePlan:
+    """Everything a sample fixes before its first draw: the enumerated
+    truncated support, the float grid of its ``cdf_thresholds`` and the
+    truncation accounting."""
 
-    Deterministic for a fixed seed.  A negative seed raises ValueError:
-    ``random.Random`` seeds an int from its absolute value, so -s would
-    repeat the draws of s.  ``truncated_mass_bound`` is a rigorous upper
-    bound on the true measure of partitions outside the support, combining
-    the enumerated mass with the prefactor tail bound.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    family: Family
+    params: MeasureParams
+    max_size: int
+    seed: int
+    support: tuple[Partition, ...]
+    grid: tuple[float, ...]
+    support_probability: Fraction
+    truncated_mass_bound: Fraction
+
+    def metadata(self) -> dict:
+        """The parameters and the truncation accounting, as JSON values."""
+        return {
+            "family": self.family.value,
+            "params": {
+                "q": str(self.params.q),
+                "u": str(self.params.u),
+                "product_cutoff": self.params.product_cutoff,
+                "tail_tolerance": str(self.params.tail_tolerance),
+            },
+            "max_size": self.max_size,
+            "seed": self.seed,
+            "support_probability": str(self.support_probability),
+            "truncated_mass_bound": str(self.truncated_mass_bound),
+        }
+
+    def draw(self, count: int):
+        """Yield the support indices of ``count`` draws from
+        ``random.Random(seed)``, in lists of at most ``BATCH``.
+
+        Each draw takes k = random() * 2^53, an exact integer below 2^53,
+        and is kept as the support index ``bisect_right(grid, k)``.  Since
+        cdf_i > k / 2^53 exactly when T_i > k, this is the index the exact
+        rational CDF gives at random(); the last threshold, 2^53, exceeds
+        every k.  Every T_i and every k is an integer of at most 2^53, hence
+        an exact double, so each float comparison is the integer one.
+
+        Each batch is checked before it is bisected: a random() that is not
+        k / 2^53 with 0 <= k < 2^53 (0.1, 1.0, a negative value, inf or NaN)
+        raises ValueError, naming the first such value, instead of being
+        drawn."""
+        rng = random.Random(self.seed)
+        scale = float(RANDOM_SCALE)
+        for start in range(0, count, BATCH):
+            draws = starmap(rng.random, repeat((), min(BATCH, count - start)))
+            xs = list(map(scale.__mul__, draws))  # exact: a power-of-two scaling
+            if not (all(map(float.is_integer, xs)) and min(xs) >= 0 and max(xs) < scale):
+                x = next(x for x in xs if not (x.is_integer() and 0 <= x < scale))
+                raise ValueError(f"random() returned {x / scale!r}, not k / 2^53 in [0, 1)")
+            yield list(map(bisect_right, repeat(self.grid), xs))
+
+    def rows(self, batches, render):
+        """``render(p)`` for the partition p of every support index, one list
+        per batch of indices (such as those of ``draw``).  ``render`` runs
+        once per distinct index, and its result is shared by all of that
+        index's draws in every batch."""
+        rendered: dict[int, object] = {}
+        for batch in batches:
+            for i in set(batch).difference(rendered):
+                rendered[i] = render(self.support[i])
+            yield list(map(rendered.__getitem__, batch))
+
+
+@dataclass(frozen=True)
+class SampleResult(SamplePlan):
+    """Draws from the truncated measure plus the truncation accounting.
+
+    The draws are kept as ``indices`` into ``support``, the enumerated
+    truncated support; ``partitions`` maps them to the partitions."""
+
+    indices: tuple[int, ...]
+
+    @property
+    def partitions(self) -> tuple[Partition, ...]:
+        return tuple(map(self.support.__getitem__, self.indices))
+
+    def render_draws(self, render) -> list:
+        """``render(p)`` for every draw p, in draw order, from ``rows``."""
+        return next(self.rows([self.indices], render))
+
+    def to_json_dict(self) -> dict:
+        return {
+            "samples": self.render_draws(Partition.to_json),
+            "metadata": self.metadata(),
+        }
+
+
+def plan_sample(family: Family, params: MeasureParams, max_size: int, seed: int) -> SamplePlan:
+    """The ``SamplePlan`` of draws over the enumerated truncated support.
+
+    A negative seed raises ValueError: ``random.Random`` seeds an int from
+    its absolute value, so -s would repeat the draws of s.
+    ``truncated_mass_bound`` is a rigorous upper bound on the true measure
+    of partitions outside the support, combining the enumerated mass with
+    the prefactor tail bound."""
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     support, weights = support_weights(family, params, max_size)
@@ -405,23 +432,31 @@ def sample(
     if total <= 0:
         raise ValueError("truncated support has no mass")
     raw_mass = truncated_prefactor(family, params) * total
-    bound = truncated_mass_bound(params, raw_mass)
-
-    grid = [float(t) for t in cdf_thresholds(weights, total)]  # exact, see above
-    rng = random.Random(seed)
-    # exact: a power-of-two scaling
-    xs = list(map(float(RANDOM_SCALE).__mul__, starmap(rng.random, repeat((), count))))
-    if xs and not (all(map(float.is_integer, xs)) and min(xs) >= 0 and max(xs) < RANDOM_SCALE):
-        x = next(x for x in xs if not (x.is_integer() and 0 <= x < RANDOM_SCALE))
-        raise ValueError(f"random() returned {x / RANDOM_SCALE!r}, not k / 2^53 in [0, 1)")
-    # grid[-1] == 2^53 > every x
-    return SampleResult(
+    return SamplePlan(
         family=family,
         params=params,
         max_size=max_size,
         seed=seed,
         support=tuple(support),
-        indices=tuple(map(bisect_right, repeat(grid), xs)),
+        grid=tuple([float(t) for t in cdf_thresholds(weights, total)]),  # exact
         support_probability=raw_mass,
-        truncated_mass_bound=bound,
+        truncated_mass_bound=truncated_mass_bound(params, raw_mass),
     )
+
+
+def sample(
+    family: Family,
+    params: MeasureParams,
+    max_size: int,
+    count: int,
+    seed: int,
+) -> SampleResult:
+    """``count`` inverse-CDF draws over the enumerated truncated support:
+    the batches of ``plan_sample(...).draw(count)``, collected.
+    Deterministic for a fixed seed; a negative count or seed raises
+    ValueError."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    plan = plan_sample(family, params, max_size, seed)
+    indices = tuple(chain.from_iterable(plan.draw(count)))
+    return SampleResult(**vars(plan), indices=indices)

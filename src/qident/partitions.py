@@ -213,7 +213,9 @@ def kernel_weight(partition: Partition, sign: int) -> Cleared:
     return Cleared(shift=weight_exponent(partition, sign), exps=exps)
 
 
-def column_table(constraint: ParityConstraint, sign: int, n: int) -> dict:
+def column_table(
+    constraint: ParityConstraint, sign: int, n: int, max_column: int | None = None
+) -> dict:
     """{(size, N_1): sum of kernel_weight(p, sign)} over the partitions p of
     sizes <= n under constraint, N_1 their first column; empty classes are absent.
     With N_v the number of parts >= v, sum_i columns_i^2 = 2 sum_v
@@ -221,8 +223,12 @@ def column_table(constraint: ParityConstraint, sign: int, n: int) -> dict:
     sum_parts g(p)} over prod_v (x^2;x^2)_{floor(m_v/2)}, with g(p) =
     ceil(p/2) for sign +1 and floor(p/2) for sign -1.  Each factor depends
     on one part value v and N_v alone, so a transfer-matrix sweep over
-    v = n, ..., 1 with the state (size so far, N_v) sums all the weights."""
+    v = n, ..., 1 with the state (size so far, N_v) sums all the weights.
+    N_v only grows as v falls, so with ``max_column`` a run that takes N_v
+    past it is skipped, and the table holds the columns N_1 <= max_column."""
     g = (lambda v: (v + 1) // 2) if sign == 1 else (lambda v: v // 2)
+    if max_column is None:
+        max_column = n  # N_1 <= size <= n
     state = {(0, 0): ONE}
     for v in range(n, 0, -1):
         # run of mult parts v: x^{mult g(v)} / (x^2;x^2)_{floor(mult/2)}
@@ -233,8 +239,9 @@ def column_table(constraint: ParityConstraint, sign: int, n: int) -> dict:
         ]
         buckets: dict[tuple[int, int], list] = {}
         for (size, count), value in state.items():
+            top = min((n - size) // v, max_column - count)  # the largest mult
             for mult, run in runs:
-                if size + mult * v > n:
+                if mult > top:
                     break
                 buckets.setdefault((size + mult * v, count + mult), []).append(value * run)
         state = {

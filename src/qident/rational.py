@@ -358,6 +358,11 @@ class RationalFunction:
         return out
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)) and other:
+            # a nonzero constant keeps the parts coprime and the denominator monic
+            out = RationalFunction.__new__(RationalFunction)
+            out.num, out.den = self.num.scale(other), self.den
+            return out
         other = _coerce(other)
         if other is NotImplemented:
             return other

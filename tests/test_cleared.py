@@ -502,3 +502,22 @@ def test_every_cache_in_every_module_is_bounded():
     assert "qident.qseries.pochhammer_inv_q2" in caches
     for name, cache in caches.items():
         assert cache.cache_parameters()["maxsize"] is not None, name
+
+
+def test_an_integral_fraction_stays_on_the_kernel():
+    """A Fraction with denominator 1 is lifted like the int it equals, so
+    neither a product nor a sum with int parameters leaves the kernel."""
+    product = cleared.q * Fraction(1)
+    assert type(product) is Cleared and oracle(product) == q
+    total = qseries.terminating_sum((), (), cleared.q, 1, 2, twist=1)
+    assert type(total) is Cleared
+    assert oracle(total) == qseries.terminating_sum((), (), q, 1, 2, twist=1)
+
+
+@given(elements, st.integers(-4, 4))
+def test_integral_fractions_act_as_ints(a, n):
+    value = Fraction(n)
+    for result, expected in (
+        (a * value, a * n), (value * a, n * a), (a + value, a + n), (a - value, a - n),
+    ):
+        assert type(result) is Cleared and result == expected

@@ -663,3 +663,50 @@ def test_closed_stdout_exits_one_without_a_traceback(unbuffered):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def test_unprintable_sample_metadata_raises_before_any_draw(capsys, monkeypatch):
+    """At q = 11/10 the support probability has more digits than Python
+    prints: the run stops with that ValueError before random() is called,
+    while at q = 6/5 the same stand-in sees every draw."""
+    import random
+
+    calls = []
+
+    class Counting(random.Random):
+        def random(self):
+            calls.append(None)
+            return super().random()
+
+    monkeypatch.setattr(random, "Random", Counting)
+    argv = ["dist", "sample", "--family", "o", "--u", "1/2", "--max-size", "16", "--count"]
+    with pytest.raises(ValueError, match="digits"):
+        cli.main([*argv, "200000", "--q", "11/10"])
+    assert calls == []
+    assert capsys.readouterr().out == ""
+    code, _ = run_cli(capsys, *argv, "1000", "--q", "6/5")
+    assert (code, len(calls)) == (0, 1000)
+
+
+_BATCH = distributions.BATCH
+
+
+@pytest.mark.parametrize("count", [0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
+def test_dist_sample_stdout_is_the_structural_form_across_batches(capsys, count):
+    """JSON and text stdout at counts around the batch size: the rows of
+    every batch add up to the dump of ``sample(...)``."""
+    params = MeasureParams.with_tolerance(
+        Fraction(6, 5), Fraction(1, 2), cli._DEFAULT_TAIL_TOLERANCE
+    )
+    result = distributions.sample(Family.O, params, 6, count, 13)
+    argv = ["dist", "sample", "--family", "o", "--q", "6/5", "--u", "1/2", "--max-size", "6",
+            "--count", str(count), "--seed", "13"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(result.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    code, out = run_cli(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert out == "".join(f"{p.to_json()}\n" for p in result.partitions) + (
+        f"seed=13 support={float(result.support_probability):.6g} "
+        f"truncated_mass_bound={float(result.truncated_mass_bound):.3g}\n"
+    )

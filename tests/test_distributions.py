@@ -440,3 +440,42 @@ def test_marginal_and_normalization_series_divide_no_series(monkeypatch, fam):
     monkeypatch.setattr(TruncatedSeries, "monomial", _refuse)
     for report in (marginal_vs_bruteforce(fam, 3, 12), normalization_check(fam, 12)):
         assert report.passed and report.n_checked > 0, report.summary()
+
+
+class _CountingRandom(random.Random):
+    """random.Random that counts its random() calls in ``calls``."""
+
+    calls = 0
+
+    def random(self):
+        type(self).calls += 1
+        return super().random()
+
+
+def test_draw_yields_fixed_batches_one_at_a_time(monkeypatch, params):
+    """The engine draws one batch per step, from the same stream that
+    ``sample`` collects, so its working set does not grow with the count."""
+    batch = distributions.BATCH
+    monkeypatch.setattr(random, "Random", _CountingRandom)
+    monkeypatch.setattr(_CountingRandom, "calls", 0)
+    plan = distributions.plan_sample(Family.SP, params, 6, 42)
+    batches = plan.draw(2 * batch + 1)
+    assert _CountingRandom.calls == 0
+    first = next(batches)
+    assert (len(first), _CountingRandom.calls) == (batch, batch)
+    rest = list(batches)
+    assert [len(b) for b in rest] == [batch, 1]
+    monkeypatch.undo()
+    drawn = tuple(first + rest[0] + rest[1])
+    assert drawn == sample(Family.SP, params, 6, 2 * batch + 1, 42).indices
+
+
+def test_rows_share_one_rendering_per_partition_across_batches(params):
+    plan = distributions.plan_sample(Family.O, params, 6, 7)
+    calls = []
+    batches = plan.draw(2 * distributions.BATCH + 1)
+    rows = list(plan.rows(batches, lambda p: calls.append(p) or p.to_json()))
+    res = sample(Family.O, params, 6, 2 * distributions.BATCH + 1, 7)
+    assert [len(r) for r in rows] == [distributions.BATCH, distributions.BATCH, 1]
+    assert [row for r in rows for row in r] == [p.to_json() for p in res.partitions]
+    assert len(calls) == len(set(res.indices))

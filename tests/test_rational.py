@@ -326,3 +326,20 @@ def test_monomial_gcd_matches_prs(d, c, other):
     mono, other = Polynomial.monomial(d, c), Polynomial(other)
     assert poly_gcd(mono, other) == _prs_gcd(mono, other)
     assert poly_gcd(other, mono) == _prs_gcd(other, mono)
+
+
+nonzero_constants = st.one_of(
+    st.integers(min_value=-5, max_value=5).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+)
+
+
+@given(rationals, nonzero_constants)
+def test_scaling_by_a_constant_matches_the_constructor(a, c):
+    """The product with a nonzero int or Fraction scales the numerator only;
+    it is the canonical value the reducing constructor gives."""
+    expected = RationalFunction(a.num * Polynomial([c]), a.den)
+    for product in (a * c, c * a):
+        assert product.num.coeffs == expected.num.coeffs
+        assert product.den.coeffs == expected.den.coeffs
+    assert a * 0 == 0 * a == RationalFunction.zero()

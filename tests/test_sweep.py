@@ -160,3 +160,11 @@ def test_d_check_builds_one_series_per_k(monkeypatch):
         _clear_identity_caches()
     assert report.passed
     assert sorted(built) == list(range(1, 8))
+
+
+@pytest.mark.parametrize("constraint, sign", ANZ_PAIRS)
+@pytest.mark.parametrize("max_column", [0, 1, 2, 5, 14, 20])
+def test_a_column_bound_keeps_the_columns_up_to_it(constraint, sign, max_column):
+    full = column_table(constraint, sign, 14)
+    bounded = column_table(constraint, sign, 14, max_column)
+    assert bounded == {key: v for key, v in full.items() if key[1] <= max_column}
