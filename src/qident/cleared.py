@@ -13,13 +13,15 @@ denominator factor, a negative one a numerator factor kept unexpanded.  A
 of N, ascending, with nonzero ends, and the sorted nonzero (j, e_j) pairs)
 and its arithmetic never takes a gcd:
 
-* a product adds the shifts and the exponents and convolves the N lists;
+* a product adds the shifts and the exponents; the product of two N lists
+  is a shifted add of one list's multiples of the other;
 * division is allowed only by a unit, +-x^t times a product of factors
   (1 - x^j) -- (x^2;x^2)_n, 1 +- x^j and q + 1 are units -- and negates its
   exponents; dividing by anything else raises ArithmeticError;
-* a sum groups its terms by exponent vector, adds each group's N lists and
-  expands each group once to the common denominator (the largest exponent
-  per j); multiplying by (1 - x^j) is a shift and a subtract;
+* a sum groups its terms by exponent vector, adds each group's shifted N
+  lists and expands each group once to the common denominator (the largest
+  exponent per j), then adds the expanded lists; multiplying by (1 - x^j)
+  is a shift and a subtract, and one shifted add serves every sum;
 * equality expands both sides to one common denominator and compares the
   integer lists.
 
@@ -54,13 +56,18 @@ def _times_one_minus(a: list, j: int) -> list:
     return out
 
 
-def _convolve(a: tuple, b: tuple) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    width = len(b)
-    for i, u in enumerate(a):
-        if u:
-            out[i:i + width] = [w + u * v for w, v in zip(out[i:i + width], b)]
-    return out
+def _add_at(parts) -> tuple[int, list]:
+    """The sum of x^s * num(x) over the (s, num) pairs in ``parts`` as
+    (low, list): x^low times the dense integer list, low the least s."""
+    if len(parts) == 1:
+        s, num = parts[0]
+        return s, list(num)
+    low = min(s for s, _ in parts)
+    out = [0] * (max(s + len(num) for s, num in parts) - low)
+    for s, num in parts:
+        i = s - low
+        out[i:i + len(num)] = [a + b for a, b in zip(out[i:i + len(num)], num)]
+    return low, out
 
 
 def _exps(pairs) -> tuple:
@@ -131,28 +138,14 @@ def _make(shift: int, num: list, exps: tuple) -> "Cleared":
     return Cleared._raw(shift, tuple(num), exps)
 
 
-def _dense(acc: dict) -> tuple[int, list]:
-    low = min(acc)
-    num = [0] * (max(acc) - low + 1)
-    for d, c in acc.items():
-        num[d - low] = c
-    return low, num
-
-
 def _sum(values) -> "Cleared":
-    groups: dict[tuple, dict[int, int]] = {}
+    groups: dict[tuple, list] = {}
     for v in values:
-        if not v.num:
-            continue
-        acc = groups.get(v.exps)
-        if acc is None:
-            acc = groups[v.exps] = {}
-        s = v.shift
-        for i, c in enumerate(v.num):
-            acc[s + i] = acc.get(s + i, 0) + c
+        if v.num:
+            groups.setdefault(v.exps, []).append((v.shift, v.num))
     parts = []
-    for exps, acc in groups.items():
-        low, num = _dense(acc)
+    for exps, group in groups.items():
+        low, num = _add_at(group)
         if any(num):
             parts.append((exps, low, num))
     if not parts:
@@ -160,12 +153,7 @@ def _sum(values) -> "Cleared":
     if len(parts) == 1:
         return _make(parts[0][1], parts[0][2], parts[0][0])
     target = _common([exps for exps, _, _ in parts])
-    parts = [(low, _expand(num, exps, target)) for exps, low, num in parts]
-    low = min(p[0] for p in parts)
-    total = [0] * (max(s + len(num) for s, num in parts) - low)
-    for s, num in parts:
-        i = s - low
-        total[i:i + len(num)] = [a + b for a, b in zip(total[i:i + len(num)], num)]
+    low, total = _add_at([(low, _expand(num, exps, target)) for exps, low, num in parts])
     return _make(low, total, _exps(target.items()))
 
 
@@ -303,7 +291,8 @@ class Cleared:
             c, rest = (a[0], b) if len(a) == 1 else (b[0], a)
             num = rest if c == 1 else tuple([c * v for v in rest])
             return Cleared._raw(shift, num, exps)
-        return _make(shift, _convolve(a, b), exps)
+        low, num = _add_at([(i, [u * v for v in b]) for i, u in enumerate(a) if u])
+        return _make(shift + low, num, exps)
 
     __rmul__ = __mul__
 

@@ -42,20 +42,20 @@ _MINIMUM = {
 }
 
 # Largest accepted value of an integer option, by argparse dest: ``dist
-# sample`` writes its draws batch by batch and takes about 4-5 s at the
+# sample`` writes its draws batch by batch and takes about 4 s at the
 # count cap, at a peak VmHWM of 23 MB that does not grow with the count (sp,
-# q = 2, u = 1/2, max_size 16), ``verify normalization`` takes about 46 s at
+# q = 2, u = 1/2, max_size 16), ``verify normalization`` takes about 25 s at
 # the order cap of 128, its time growing like order^4.5, and ``verify anz1``
-# reaches about m_max 61.
+# takes about 30 s at m_max 62, so it reaches at least 62.
 # A partition of size at most the order cap has a first column of at most
 # 128 = 2 * 64, so a k_max above 64 would only compare zero columns.
-# ``verify qseries`` takes about 42 s at n_max 96 (20 tuples per n), with
-# its time growing like n_max^4.5, and about 18 s at 10,000 tuples per n
+# ``verify qseries`` takes about 34 s at n_max 96 (20 tuples per n), with
+# its time growing like n_max^4.5, and about 17 s at 10,000 tuples per n
 # (n_max 8), holding each comparison in memory.  The worst family of
-# ``dist`` (o, at q = 2, u = 1/2) takes about 26 s and 358 MB at max_size
-# 56, with its time growing about 1.2-fold per size, and ``partitions
-# --weights sp`` about 21 s at n 42, about 1.26-fold per n (2-vCPU VM,
-# Python 3.11.7).
+# ``dist`` (o, at q = 2, u = 1/2) takes about 19-21 s and 330-360 MB at
+# max_size 56, with its time growing about 1.2-fold per size, and
+# ``partitions --weights sp`` about 18 s at n 42, about 1.26-fold per n
+# (2-vCPU VM, Python 3.11.7).
 _MAXIMUM = {
     "count": 10_000_000,
     "max_size": 56,
@@ -91,6 +91,17 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational 'p/r': {text}") from exc
 
 
+def _add_bounded(parser, flag: str, default=None, what="", shown=None, **kwargs) -> None:
+    """Add the integer option ``flag``; its help names ``what`` it is, its
+    cap from _MAXIMUM and its default (``shown`` where the parser has none)."""
+    cap = f"at most {_MAXIMUM[flag[2:].replace('-', '_')]}"
+    text = f"{what}, {cap}" if what else cap
+    shown = default if shown is None else shown
+    if shown is not None:
+        text += f" (default: {shown})"
+    parser.add_argument(flag, type=int, default=default, help=text, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qident",
@@ -103,34 +114,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run identity checks")
     verify.add_argument("selector", choices=VERIFY_SELECTORS)
-    verify.add_argument(
-        "--m-max", type=int,
-        help=f"at most {_MAXIMUM['m_max']} (default: $QIDENT_M_MAX or 10)",
-    )
-    verify.add_argument(
-        "--order", type=int, default=12,
-        help=f"series order D, at most {_MAXIMUM['order']} (default: 12)",
-    )
-    verify.add_argument(
-        "--k-max", type=int, default=3,
-        help=f"marginal column half-range, at most {_MAXIMUM['k_max']} (default: 3)",
-    )
+    _add_bounded(verify, "--m-max", shown="$QIDENT_M_MAX or 10")
+    _add_bounded(verify, "--order", 12, "series order D")
+    _add_bounded(verify, "--k-max", 3, "marginal column half-range")
     verify.add_argument("--seed", type=int, default=qseries.DEFAULT_SEED)
-    verify.add_argument(
-        "--tuples-per-n", type=int, default=20,
-        help=f"at most {_MAXIMUM['tuples_per_n']} (default: 20)",
-    )
-    verify.add_argument(
-        "--qseries-n-max", type=int, default=8,
-        help=f"at most {_MAXIMUM['qseries_n_max']} (default: 8)",
-    )
+    _add_bounded(verify, "--tuples-per-n", 20)
+    _add_bounded(verify, "--qseries-n-max", 8)
     verify.add_argument("--format", choices=("json", "text"), default="json")
     verify.set_defaults(func=cmd_verify)
 
     parts = sub.add_parser("partitions", help="enumerate constrained partitions")
-    parts.add_argument(
-        "--n", type=int, required=True, help=f"partition size, at most {_MAXIMUM['n']}"
-    )
+    _add_bounded(parts, "--n", what="partition size", required=True)
     parts.add_argument(
         "--constraint", choices=sorted(c.value for c in ParityConstraint), default="none"
     )
@@ -145,10 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", choices=("sp", "o"), required=True)
         p.add_argument("--q", type=_fraction, required=True)
         p.add_argument("--u", type=_fraction, required=True)
-        p.add_argument(
-            "--max-size", type=int, default=6,
-            help=f"largest partition size, at most {_MAXIMUM['max_size']} (default: 6)",
-        )
+        _add_bounded(p, "--max-size", 6, "largest partition size")
         p.add_argument(
             "--tail-tol", type=_fraction, default=_DEFAULT_TAIL_TOLERANCE,
             help="relative tail bound of the normalizing product, whose cutoff "
@@ -162,10 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dsample = dist_sub.add_parser("sample", help="draw partitions")
     add_dist_args(dsample)
-    dsample.add_argument(
-        "--count", type=int, default=10,
-        help=f"number of draws, at most {_MAXIMUM['count']} (default: 10)",
-    )
+    _add_bounded(dsample, "--count", 10, "number of draws")
     dsample.add_argument("--seed", type=int, default=qseries.DEFAULT_SEED)
     dsample.set_defaults(func=cmd_dist_sample)
 

@@ -470,6 +470,20 @@ def random_fraction(rng: random.Random, height: int = 12, nonzero: bool = False)
             return value
 
 
+#: Each 2phi1 sweep: its name, its check on (n, *parameters), and whether
+#: each parameter, in draw order, is drawn nonzero.  The lambdas look the
+#: checks up in this module at call time, so a patched check is the one run.
+_SWEEPS = (
+    ("qchu", lambda n, *p: qchu_check(n, *p), (True, False, True)),
+    (
+        "transform",
+        lambda n, *p: transform_check(HypergeometricSpec(n, *p)),
+        (True, True, True, False),
+    ),
+    ("limit-transform", lambda n, *p: limit_transform_check(n, *p), (True, True, False)),
+)
+
+
 def random_hypergeometric_reports(
     n_max: int = 8, tuples_per_n: int = 20, seed: int = DEFAULT_SEED
 ) -> list[VerificationReport]:
@@ -480,9 +494,9 @@ def random_hypergeometric_reports(
     Pochhammer denominators) are recorded as skips.  Draw sequences are
     deterministic functions of (seed, check name, n).
     """
-
-    def sweep(name, drawer) -> VerificationReport:
-        aggregate = VerificationReport(
+    reports = []
+    for name, check, nonzero in _SWEEPS:
+        report = VerificationReport(
             name, params={"n_max": n_max, "tuples_per_n": tuples_per_n, "seed": seed}
         )
         for n in range(n_max + 1):
@@ -493,40 +507,8 @@ def random_hypergeometric_reports(
                 attempts += 1
                 if attempts > 50 * tuples_per_n:
                     raise RuntimeError(f"{name}: too many degenerate draws at n={n}")
-                sub = drawer(n, rng)
-                aggregate.merge(sub)
-                if sub.n_checked:
-                    valid += 1
-        return aggregate
-
-    def draw_qchu(n, rng):
-        return qchu_check(
-            n,
-            random_fraction(rng, nonzero=True),
-            random_fraction(rng),
-            random_fraction(rng, nonzero=True),
-        )
-
-    def draw_transform(n, rng):
-        spec = HypergeometricSpec(
-            n,
-            random_fraction(rng, nonzero=True),
-            random_fraction(rng, nonzero=True),
-            random_fraction(rng, nonzero=True),
-            random_fraction(rng),
-        )
-        return transform_check(spec)
-
-    def draw_limit(n, rng):
-        return limit_transform_check(
-            n,
-            random_fraction(rng, nonzero=True),
-            random_fraction(rng, nonzero=True),
-            random_fraction(rng),
-        )
-
-    return [
-        sweep("qchu", draw_qchu),
-        sweep("transform", draw_transform),
-        sweep("limit-transform", draw_limit),
-    ]
+                drawn = check(n, *[random_fraction(rng, nonzero=nz) for nz in nonzero])
+                report.results += drawn.results
+                valid += drawn.n_checked
+        reports.append(report)
+    return reports

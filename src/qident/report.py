@@ -56,9 +56,6 @@ class VerificationReport:
     def record_skip(self, index: dict, reason: str) -> None:
         self.results.append(CheckResult(index=index, status=SKIP, reason=reason))
 
-    def merge(self, other: "VerificationReport") -> None:
-        self.results.extend(other.results)
-
     @property
     def passed(self) -> bool:
         return all(r.status != FAIL for r in self.results)

@@ -521,3 +521,103 @@ def test_integral_fractions_act_as_ints(a, n):
         (a * value, a * n), (value * a, n * a), (a + value, a + n), (a - value, a - n),
     ):
         assert type(result) is Cleared and result == expected
+
+
+# ---------------------------------------------------------------------------
+# Sums, equality and products on inputs ``elements`` never draws: 64- and
+# 128-bit coefficients, long numerators, large groups, cancelling groups.
+# The oracle's gcds grow too slow for long numerators with wide
+# coefficients, so each strategy widens one of the two.
+# ---------------------------------------------------------------------------
+
+BIG = (2**62 - 1, 2**63, 2**127)
+coefficients = st.sampled_from(BIG + tuple(-c for c in BIG)) | st.integers(-3, 3)
+
+
+def _nonzero_ends(num):
+    return [num[0] or 1, *num[1:-1], num[-1] or -1]
+
+
+big_elements = st.builds(
+    Cleared,
+    st.lists(coefficients, min_size=2, max_size=6).map(_nonzero_ends),
+    st.integers(-3, 3),
+    exponents,
+).filter(lambda v: len(v.num) > 1)  # not a unit, so a product convolves
+long_elements = st.builds(
+    Cleared,
+    st.lists(st.integers(-3, 3), min_size=50, max_size=64).map(_nonzero_ends),
+    st.integers(-60, 60),
+    exponents,
+).filter(lambda v: len(v.num) > 1)
+
+
+def _check_ring_operations(a, b):
+    ra, rb = oracle(a), oracle(b)
+    assert (a + b).to_rational() == ra + rb
+    assert (a - b).to_rational() == ra - rb
+    assert (a * b).to_rational() == ra * rb
+    assert (a == b) == (ra == rb)
+    assert a * b == b * a and a + b == b + a and a - a == ZERO
+
+
+@settings(deadline=None, max_examples=60)
+@given(big_elements, big_elements)
+def test_big_coefficient_sums_products_and_equality_match_rational(a, b):
+    _check_ring_operations(a, b)
+
+
+@settings(deadline=None, max_examples=10)
+@given(long_elements, long_elements)
+def test_long_numerator_sums_products_and_equality_match_rational(a, b):
+    _check_ring_operations(a, b)
+
+
+@settings(deadline=None, max_examples=60)
+@given(big_elements | long_elements, st.integers(1, 6), st.integers(1, 3))
+def test_wide_equality_across_representations(a, j, extra):
+    expanded = list(a.num)
+    for _ in range(extra):
+        expanded = cleared._times_one_minus(expanded, j)
+    exps = dict(a.exps)
+    exps[j] = exps.get(j, 0) + extra
+    other = Cleared(expanded, a.shift, exps)
+    assert other == a and a == other
+    assert other != a + 1 and other != -a
+    assert Cleared(expanded, a.shift + 1, exps) != a
+    for num, vector in ((a.num, a.exps), (expanded, exps)):
+        for i in (0, len(num) // 2, len(num) - 1):
+            changed = list(num)
+            changed[i] += 2**127
+            assert Cleared(changed, a.shift, vector) != a
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.lists(
+        st.tuples(st.lists(coefficients, min_size=1, max_size=4), st.integers(-3, 3)),
+        min_size=20,
+        max_size=30,
+    ),
+    exponents,
+    elements,
+)
+def test_many_terms_sharing_one_exponent_vector_sum_as_rational(pieces, exps, other):
+    terms = [Cleared(num, shift, exps) for num, shift in pieces]
+    total = csum(terms)
+    assert total.to_rational() == rf_sum(oracle(t) for t in terms)
+    assert csum(terms + [other]).to_rational() == total.to_rational() + oracle(other)
+    assert csum(terms + [-t for t in terms]) == ZERO
+
+
+@settings(deadline=None, max_examples=40)
+@given(elements, big_elements | long_elements, st.integers(20, 30))
+def test_a_cancelling_group_leaves_no_factors(a, b, pieces):
+    """Terms over a denominator that ``a`` lacks sum to zero: the result is
+    ``a`` itself, with ``a``'s exponents and none of theirs."""
+    b = b * Cleared([1], 0, {7: 3})
+    assert (7, 3) in b.exps and all(j != 7 for j, _ in a.exps)
+    for total in (csum([a, b, -b]), csum([b, a, -b]), csum([b] * pieces + [a] + [-b] * pieces)):
+        assert (total.shift, total.num, total.exps) == (a.shift, a.num, a.exps)
+    assert (a + b) - b == a
+    assert ((a + b) - b).to_rational() == oracle(a)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -710,3 +711,48 @@ def test_dist_sample_stdout_is_the_structural_form_across_batches(capsys, count)
         f"seed=13 support={float(result.support_probability):.6g} "
         f"truncated_mass_bound={float(result.truncated_mass_bound):.3g}\n"
     )
+
+
+_DIST_NEEDS = ("--family", "sp", "--q", "2", "--u", "1/2")
+
+#: Each capped option: the command whose help lists it, the arguments that
+#: command needs besides it, and its flag.
+CAPPED_OPTIONS = [
+    (("verify",), ("all",), "--m-max"),
+    (("verify",), ("all",), "--order"),
+    (("verify",), ("all",), "--k-max"),
+    (("verify",), ("all",), "--tuples-per-n"),
+    (("verify",), ("all",), "--qseries-n-max"),
+    (("partitions",), (), "--n"),
+    (("dist", "eval"), _DIST_NEEDS, "--max-size"),
+    (("dist", "sample"), _DIST_NEEDS, "--count"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, needs, flag", CAPPED_OPTIONS, ids=[flag for _, _, flag in CAPPED_OPTIONS]
+)
+def test_help_shows_the_cap_and_the_default_applied(capsys, monkeypatch, command, needs, flag):
+    """Each capped option's help gives its cap and the default the parser
+    applies, so the two cannot drift apart."""
+    assert {f[2:].replace("-", "_") for _, _, f in CAPPED_OPTIONS} == set(cli._MAXIMUM)
+    monkeypatch.delenv("QIDENT_M_MAX", raising=False)
+    with pytest.raises(SystemExit):
+        cli.main([*command, "--help"])
+    entries = re.split(r"\n  (?=-)", capsys.readouterr().out)
+    entry = " ".join(next(e for e in entries if e.startswith(flag + " ")).split())
+    dest = flag[2:].replace("-", "_")
+    assert f"at most {cli._MAXIMUM[dest]}" in entry
+    shown = re.search(r"\(default: (.*)\)$", entry)
+    if flag == "--n":  # required, so no default applies
+        assert shown is None
+        with pytest.raises(SystemExit):
+            cli.main([*command, *needs])
+        return
+    args = cli.build_parser().parse_args([*command, *needs])
+    cli._check_numbers(args)
+    applied = getattr(args, dest)
+    if flag == "--m-max":  # applied after parsing, from the environment
+        assert shown.group(1) == f"$QIDENT_M_MAX or {applied}"
+    else:
+        assert shown.group(1) == str(applied)
