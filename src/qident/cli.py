@@ -12,7 +12,9 @@ was closed before the output ended, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -52,8 +54,8 @@ _MINIMUM = {
 # ``verify qseries`` takes about 34 s at n_max 96 (20 tuples per n), with
 # its time growing like n_max^4.5, and about 17 s at 10,000 tuples per n
 # (n_max 8), holding each comparison in memory.  The worst family of
-# ``dist`` (o, at q = 2, u = 1/2) takes about 19-21 s and 330-360 MB at
-# max_size 56, with its time growing about 1.2-fold per size, and
+# ``dist`` (o, at q = 2, u = 1/2) takes about 11 s and 155 MB (eval), 14 s
+# and 186 MB (sample) at max_size 56, its time growing 1.15-fold per size, and
 # ``partitions --weights sp`` about 18 s at n 42, about 1.26-fold per n
 # (2-vCPU VM, Python 3.11.7).
 _MAXIMUM = {
@@ -230,24 +232,47 @@ def _measure_params(args) -> MeasureParams:
     return params
 
 
+def _products(x: Fraction, weights: list[Fraction]):
+    """Yield str(x * w) for each weight w.  x's numerator and denominator
+    become decimals once; each row cancels as Fraction.__mul__ does, then
+    forms its digits by exact decimal arithmetic (L bits give at most
+    L // 3 + 1 digits; Inexact and Rounded trap), whose printing is linear.
+    Like str, a part over sys.get_int_max_str_digits() digits raises."""
+    P, Q = x.numerator, x.denominator
+    bits = max(abs(P), Q).bit_length() + max(
+        (max(abs(w.numerator), w.denominator).bit_length() for w in weights), default=0)
+    ctx = decimal.Context(prec=bits // 3 + 2, Emax=decimal.MAX_EMAX)
+    ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+    top, bottom = decimal.Decimal(P), decimal.Decimal(Q)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before 3.10.7
+    for w in weights:
+        n, d = w.numerator, w.denominator
+        g1, g2 = math.gcd(P, d), math.gcd(n, Q)
+        num = ctx.multiply(ctx.divide_int(top, g1), n // g2)
+        den = ctx.multiply(d // g1, ctx.divide_int(bottom, g2))
+        if limit and max(num.adjusted(), den.adjusted()) >= limit:
+            raise ValueError(f"Exceeds the limit ({limit} digits) for integer string "
+                             "conversion; use sys.set_int_max_str_digits() to increase the limit")
+        yield (str(num) if num else "0") if den == 1 else f"{num}/{den}"  # never "-0"
+
+
 def cmd_dist_eval(args) -> int:
     family = Family(args.family)
     params = _measure_params(args)
     support, weights = distributions.support_weights(family, params, args.max_size)
     prefactor = distributions.truncated_prefactor(family, params)
     tail_bound = str(params.tail_bound)
-    for p, weight in zip(support, weights):
-        value = prefactor * weight
+    for p, weight, value in zip(support, weights, _products(prefactor, weights)):
         if args.format == "json":
             _emit(
                 {
                     "partition": p.to_json(),
-                    "probability": str(value),
+                    "probability": value,
                     "tail_bound": tail_bound,
                 }
             )
         else:
-            print(f"{p.to_json()}  p={float(value):.6g} ({value})")
+            print(f"{p.to_json()}  p={float(prefactor * weight):.6g} ({value})")
     total = prefactor * sum(weights)  # one product instead of one per row
     bound = distributions.truncated_mass_bound(params, total)
     summary = {

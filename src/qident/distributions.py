@@ -7,7 +7,7 @@ Every exact value is a ``cleared.Cleared``, so the series below compute on
 the integer kernel with no polynomial gcd and divide no series: each
 marginal coefficient is a unit times ``identities.coeff_u_lemma``.  The
 marginals are checked against ``partitions.column_table``, the weights
-summed by first column.
+summed by first column; the numeric weights evaluate it on integer pairs.
 
 The infinite product is handled two ways:
 
@@ -44,7 +44,7 @@ from itertools import chain, repeat, starmap
 from .cleared import ONE, ZERO, csum, pochhammer_inv_q2, q_power
 from .identities import coeff_u_lemma
 from .partitions import ParityConstraint, Partition, column_table
-from .partitions import enumerate_partitions, kernel_weight
+from .partitions import enumerate_partitions, kernel_weight  # noqa: F401 -- tests patch it
 from .qseries import TruncatedSeries, pochhammer
 from .report import VerificationReport
 
@@ -155,8 +155,7 @@ def prob(partition: Partition, family: Family, params: MeasureParams) -> ProbVal
     """Measure of one partition, exactly 0 if the constraint fails."""
     if not family.constraint.admits(partition):
         return ProbValue(Fraction(0), Fraction(0))
-    coeff = kernel_weight(partition, family.sign).evaluate(params.q)
-    value = truncated_prefactor(family, params) * params.u**partition.size * coeff
+    value = truncated_prefactor(family, params) * _weights([partition], family, params)[0]
     return ProbValue(value, params.tail_bound)
 
 
@@ -267,6 +266,38 @@ def normalization_check(family: Family, order: int) -> VerificationReport:
 # Truncated-support sampling
 # ---------------------------------------------------------------------------
 
+def _weights(partitions, family: Family, params: MeasureParams) -> list[Fraction]:
+    """u^size * kernel_weight(p, family.sign) at q = a/b for each partition
+    p, on integer pairs.  With x = b/a, the exponent E of x is split as in
+    ``column_table``: a run of m parts v, with N parts >= v and the next
+    part w < v (0 after the last), adds (v - w) binom(N, 2) + m g(v), and
+    1/(x^2;x^2)_k is the tabled pair a^{k(k+1)} / prod_{i<=k} (a^{2i} - b^{2i})."""
+    a, b = params.q.numerator, params.q.denominator
+    c, d = params.u.numerator, params.u.denominator
+    odd = 1 if family.sign == 1 else 0  # g(v) = (v + odd) // 2
+    table = [(0, 1)]  # 1/(x^2;x^2)_k as (power of a, integer denominator)
+    weights = []
+    for p in partitions:
+        parts = p.parts + (0,)  # the part 0 ends the last run
+        den, size, expo, a_expo, count = 1, 0, 0, 0, 0
+        while parts[count]:  # count: N, the parts >= v
+            v = parts[count]
+            m = parts.count(v)
+            count += m
+            size += m * v
+            expo += (v - parts[count]) * (count * (count - 1) // 2) + m * ((v + odd) // 2)
+            k = m // 2
+            while len(table) <= k:
+                i, (last_expo, last_den) = len(table), table[-1]
+                table.append((last_expo + 2 * i, last_den * (a ** (2 * i) - b ** (2 * i))))
+            a_expo += table[k][0]
+            den *= table[k][1]
+        a_expo -= expo
+        num, den = c**size * b**expo * a ** max(a_expo, 0), d**size * den * a ** max(-a_expo, 0)
+        weights.append(Fraction(num, den))
+    return weights
+
+
 def support_weights(
     family: Family, params: MeasureParams, max_size: int
 ) -> tuple[list[Partition], list[Fraction]]:
@@ -274,14 +305,8 @@ def support_weights(
     support, in enumeration order with sizes ascending."""
     if max_size < 0:
         raise ValueError("max_size must be nonnegative")
-    support: list[Partition] = []
-    weights: list[Fraction] = []
-    for n in range(max_size + 1):
-        for p in enumerate_partitions(n, family.constraint):
-            support.append(p)
-            coeff = kernel_weight(p, family.sign).evaluate(params.q)
-            weights.append(params.u**p.size * coeff)
-    return support, weights
+    support = [p for n in range(max_size + 1) for p in enumerate_partitions(n, family.constraint)]
+    return support, _weights(support, family, params)
 
 
 def truncated_distribution(

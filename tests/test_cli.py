@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qident import cli, distributions, identities, qseries
 from qident.distributions import Family, MeasureParams
@@ -756,3 +758,97 @@ def test_help_shows_the_cap_and_the_default_applied(capsys, monkeypatch, command
         assert shown.group(1) == f"$QIDENT_M_MAX or {applied}"
     else:
         assert shown.group(1) == str(applied)
+
+
+# ---------------------------------------------------------------------------
+# dist eval's probabilities, rendered from one decimal prefactor
+# ---------------------------------------------------------------------------
+
+_LONG = st.integers(10**999 // 6 + 1, 10**4000 // 6)  # 6 n + 1 has 1,000-4,000 digits
+_SHORT = st.integers(0, 10**200)
+
+
+@st.composite
+def _prefactor_and_weights(draw):
+    """x = +-2^i A / (3^j B) with A, B prime to 6 keeps 2^i in its numerator
+    and 3^j in its denominator, and each weight 3^k C / (2^l D) shares 3
+    with the one and 2 with the other, so both cross gcds exceed 1.  The
+    list also holds a weight that makes x w an integer, zero and negatives."""
+    sign = draw(st.sampled_from((1, -1)))
+    i, j = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    x = Fraction(sign * 2**i * (6 * draw(_LONG) + 1), 3**j * (6 * draw(_LONG) + 1))
+    shared = st.builds(
+        lambda k, c, l, d, s: Fraction(s * 3**k * (6 * c + 1), 2**l * (6 * d + 1)),
+        st.integers(1, 20), _SHORT, st.integers(1, 20), _SHORT, st.sampled_from((1, -1)),
+    )
+    weights = draw(st.lists(shared, min_size=1, max_size=4))
+    whole = draw(st.integers(-(10**200), 10**200))
+    return x, weights + [Fraction(whole * x.denominator, x.numerator), Fraction(0)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_prefactor_and_weights())
+def test_products_render_as_the_fraction_str(case):
+    x, weights = case
+    assert list(cli._products(x, weights)) == [str(x * w) for w in weights]
+
+
+def test_products_keep_the_int_digit_limit():
+    """A numerator or denominator of 4,300 digits prints and one of 4,301
+    raises at its own row, as str does; with no limit every row prints."""
+    old = sys.get_int_max_str_digits()
+    top = 10**4299 + 7  # 4,300 digits
+    cases = [(Fraction(top, 3), Fraction(10)), (Fraction(3, top), Fraction(1, 10))]
+    try:
+        sys.set_int_max_str_digits(4300)
+        for x, over in cases:
+            rows = cli._products(x, [Fraction(1), Fraction(-2, 5), over])
+            assert [next(rows), next(rows)] == [str(x), str(x * Fraction(-2, 5))]
+            with pytest.raises(ValueError, match="digits"):
+                str(x * over)
+            with pytest.raises(ValueError, match="digits"):
+                next(rows)
+        sys.set_int_max_str_digits(0)
+        for x, over in cases:
+            weights = [over, over**5, Fraction(7, 9) ** 3000]
+            assert list(cli._products(x, weights)) == [str(x * w) for w in weights]
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+_UNPRINTABLE_ARGV = ["dist", "eval", "--family", "o", "--u", "1/2"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_unprintable_dist_eval_raises_before_any_row(capsys, fmt):
+    """At q = 11/10 every probability has more digits than Python prints."""
+    argv = [*_UNPRINTABLE_ARGV, "--q", "11/10", "--max-size", "16", "--format", fmt]
+    with pytest.raises(ValueError, match="digits"):
+        cli.main(argv)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_dist_eval_prints_the_printable_rows_before_the_digit_limit(capsys, fmt):
+    """At q = 10^300 the first rows print, and the first probability that
+    str() of the Fraction cannot print raises the same ValueError."""
+    params = MeasureParams.with_tolerance(Fraction(10**300), Fraction(1, 2), Fraction(1, 10**9))
+    support, weights = distributions.support_weights(Family.O, params, 12)
+    prefactor = distributions.truncated_prefactor(Family.O, params)
+    expected = []
+    try:
+        for p, weight in zip(support, weights):
+            value = prefactor * weight
+            if fmt == "json":
+                row = {"partition": p.to_json(), "probability": str(value),
+                       "tail_bound": str(params.tail_bound)}
+                expected.append(json.dumps(row, sort_keys=True, separators=(",", ":")))
+            else:
+                expected.append(f"{p.to_json()}  p={float(value):.6g} ({value})")
+    except ValueError:
+        pass
+    assert 0 < len(expected) < len(support)
+    argv = [*_UNPRINTABLE_ARGV, "--q", "1e300", "--max-size", "12", "--format", fmt]
+    with pytest.raises(ValueError, match="digits"):
+        cli.main(argv)
+    assert capsys.readouterr().out == "".join(line + "\n" for line in expected)

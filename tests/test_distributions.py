@@ -27,7 +27,7 @@ from qident.distributions import (
     truncated_distribution,
     truncated_prefactor,
 )
-from qident.partitions import Partition, cl_numerator, enumerate_partitions
+from qident.partitions import Partition, cl_numerator, enumerate_partitions, kernel_weight
 from qident.qseries import TruncatedSeries, pochhammer_inv_q2, reciprocal_pochhammer_series
 from qident.rational import q_power
 
@@ -479,3 +479,57 @@ def test_rows_share_one_rendering_per_partition_across_batches(params):
     assert [len(r) for r in rows] == [distributions.BATCH, distributions.BATCH, 1]
     assert [row for r in rows for row in r] == [p.to_json() for p in res.partitions]
     assert len(calls) == len(set(res.indices))
+
+
+# ---------------------------------------------------------------------------
+# The numeric weights on integer pairs, against the kernel's own evaluation
+# ---------------------------------------------------------------------------
+
+def _reference_weights(fam, q, u, max_size):
+    """The enumeration-order support and u^size * kernel_weight(p).evaluate(q)."""
+    support = [p for n in range(max_size + 1) for p in enumerate_partitions(n, fam.constraint)]
+    return support, [u**p.size * kernel_weight(p, fam.sign).evaluate(q) for p in support]
+
+
+_WEIGHT_QS = [Fraction(2), Fraction(3, 2), Fraction(6, 5), Fraction(11, 10), Fraction(1999, 1000)]
+_WEIGHT_US = [HALF, Fraction(999, 1000), Fraction(1, 10**6)]
+
+
+@pytest.mark.parametrize("fam", list(Family))
+@pytest.mark.parametrize("q", _WEIGHT_QS)
+@pytest.mark.parametrize("u", _WEIGHT_US)
+def test_support_weights_match_the_kernel_evaluation(fam, q, u):
+    params = MeasureParams.with_tolerance(q, u, TOL)
+    support, expected = _reference_weights(fam, q, u, 12)
+    for max_size in range(13):
+        got_support, got = support_weights(fam, params, max_size)
+        size = len(got_support)
+        assert got_support == support[:size] and got == expected[:size], max_size
+    assert size == len(support)
+
+
+_positive = st.integers(1, 10**6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(list(Family)), _positive, _positive, _positive, _positive, st.integers(0, 12)
+)
+def test_support_weights_match_the_kernel_evaluation_at_drawn_points(fam, b, up, c, down, size):
+    q, u = Fraction(b + up, b), Fraction(c, c + down)  # q > 1, 0 < u < 1
+    params = MeasureParams(q, u, 0, _tail(q, u, 0))
+    assert support_weights(fam, params, size) == _reference_weights(fam, q, u, size)
+
+
+@pytest.mark.parametrize("fam", list(Family))
+@pytest.mark.parametrize("q", _WEIGHT_QS)
+@pytest.mark.parametrize("u", _WEIGHT_US)
+def test_prob_matches_the_kernel_evaluation(fam, q, u):
+    params = MeasureParams.with_tolerance(q, u, TOL)
+    prefactor = truncated_prefactor(fam, params)
+    for n in range(9):
+        for p in enumerate_partitions(n):
+            expected = Fraction(0)
+            if fam.constraint.admits(p):
+                expected = prefactor * u**n * kernel_weight(p, fam.sign).evaluate(q)
+            assert prob(p, fam, params).value == expected, p
