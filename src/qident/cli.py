@@ -43,21 +43,9 @@ _MINIMUM = {
     "count": 0,
 }
 
-# Largest accepted value of an integer option, by argparse dest: ``dist
-# sample`` writes its draws batch by batch and takes about 4 s at the
-# count cap, at a peak VmHWM of 23 MB that does not grow with the count (sp,
-# q = 2, u = 1/2, max_size 16), ``verify normalization`` takes about 25 s at
-# the order cap of 128, its time growing like order^4.5, and ``verify anz1``
-# takes about 30 s at m_max 62, so it reaches at least 62.
-# A partition of size at most the order cap has a first column of at most
-# 128 = 2 * 64, so a k_max above 64 would only compare zero columns.
-# ``verify qseries`` takes about 34 s at n_max 96 (20 tuples per n), with
-# its time growing like n_max^4.5, and about 17 s at 10,000 tuples per n
-# (n_max 8), holding each comparison in memory.  The worst family of
-# ``dist`` (o, at q = 2, u = 1/2) takes about 11 s and 155 MB (eval), 14 s
-# and 186 MB (sample) at max_size 56, its time growing 1.15-fold per size, and
-# ``partitions --weights sp`` about 18 s at n 42, about 1.26-fold per n
-# (2-vCPU VM, Python 3.11.7).
+# Largest accepted value of an integer option, by argparse dest.  Each cap
+# bounds the work of the slowest command that the option sizes; the README's
+# Caps table gives what each bounds and its measured time and peak memory.
 _MAXIMUM = {
     "count": 10_000_000,
     "max_size": 56,
@@ -69,11 +57,9 @@ _MAXIMUM = {
     "tuples_per_n": 10_000,
 }
 
-# Largest cutoff of the normalizing product that ``dist`` computes.  The
-# exact prefactor's numerator and denominator grow like cutoff^2 bits and
-# its time like cutoff^4 (0.004 s at 111, 0.1 s at 223, 7.3 s at 570), and
-# from a cutoff of about 119 on its denominator has more than the 4300
-# digits Python prints.  q = 11/10 at u = 1/2 needs 111.
+# Largest cutoff of the normalizing product that ``dist`` computes: the
+# exact prefactor's numerator and denominator grow like cutoff^2 bits (see
+# the README's Caps table).
 _MAX_PRODUCT_CUTOFF = 128
 
 
@@ -235,13 +221,12 @@ def _measure_params(args) -> MeasureParams:
 def _products(x: Fraction, weights: list[Fraction]):
     """Yield str(x * w) for each weight w.  x's numerator and denominator
     become decimals once; each row cancels as Fraction.__mul__ does, then
-    forms its digits by exact decimal arithmetic (L bits give at most
-    L // 3 + 1 digits; Inexact and Rounded trap), whose printing is linear.
+    forms its digits by exact decimal arithmetic (at the largest precision,
+    with Inexact and Rounded trapped, so each step is exact or raises),
+    whose printing is linear.  No weight is read before its own row.
     Like str, a part over sys.get_int_max_str_digits() digits raises."""
     P, Q = x.numerator, x.denominator
-    bits = max(abs(P), Q).bit_length() + max(
-        (max(abs(w.numerator), w.denominator).bit_length() for w in weights), default=0)
-    ctx = decimal.Context(prec=bits // 3 + 2, Emax=decimal.MAX_EMAX)
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
     ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
     top, bottom = decimal.Decimal(P), decimal.Decimal(Q)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before 3.10.7

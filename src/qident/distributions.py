@@ -302,7 +302,8 @@ def support_weights(
     family: Family, params: MeasureParams, max_size: int
 ) -> tuple[list[Partition], list[Fraction]]:
     """Unnormalized weights u^size * coefficient(q) over the truncated
-    support, in enumeration order with sizes ascending."""
+    support, in enumeration order with sizes ascending.  Each is positive
+    (q > 1 and 0 < u < 1), and the first, the empty partition's, is 1."""
     if max_size < 0:
         raise ValueError("max_size must be nonnegative")
     support = [p for n in range(max_size + 1) for p in enumerate_partitions(n, family.constraint)]
@@ -315,9 +316,7 @@ def truncated_distribution(
     """The measure renormalized to partitions of size <= max_size, as exact
     rationals (the normalizing product cancels in the renormalization)."""
     support, weights = support_weights(family, params, max_size)
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError("truncated support has no mass")
+    total = sum(weights)  # >= 1, as support_weights says
     return [(p, w / total) for p, w in zip(support, weights)]
 
 
@@ -453,9 +452,7 @@ def plan_sample(family: Family, params: MeasureParams, max_size: int, seed: int)
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     support, weights = support_weights(family, params, max_size)
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError("truncated support has no mass")
+    total = sum(weights)  # >= 1, as support_weights says
     raw_mass = truncated_prefactor(family, params) * total
     return SamplePlan(
         family=family,

@@ -13,8 +13,9 @@ even multiplicity" (the orthogonal side, sign -1).
 ``multiplicity_factors``; ``identities.summand_weight`` is it times its head
 (1 - x^{columns_1}), and ``column_table`` sums it by size and first column
 for the ANZ sides and the marginals.
-``summand_weight`` and ``cl_numerator`` compute the same weights in Q(q),
-the independent route the tests check the kernel against.
+``cl_numerator`` computes the same weights in Q(q), and ``summand_weight``
+is its coefficient times the head: the independent route the tests check
+the kernel against.
 """
 
 from __future__ import annotations
@@ -168,42 +169,28 @@ def multiplicity_factors(partition: Partition) -> dict[int, int]:
     return exps
 
 
-def _multiplicity_pochhammer(partition: Partition) -> RationalFunction:
-    """prod_i (1/q^2; 1/q^2)_{floor(m_i / 2)} over the parts present."""
-    return reduce(
-        lambda acc, m: acc * pochhammer_inv_q2(m // 2),
-        partition.multiplicities.values(),
-        RationalFunction.one(),
-    )
-
-
 def summand_weight(partition: Partition, sign: int) -> RationalFunction:
     """The summand attached to a partition on the enumeration side of the
-    target identities:
-
-        (1 - q^{-columns_1}) / (q^{weight_exponent} * prod_i
-        (1/q^2;1/q^2)_{floor(m_i/2)}).
-
-    The empty partition weighs exactly 0 because 1 - q^0 = 0.
-    """
-    head = 1 - q_power(-partition.num_parts)
-    if head.is_zero:
-        return RationalFunction.zero()
-    expo = weight_exponent(partition, sign)
-    return head * q_power(-expo) / _multiplicity_pochhammer(partition)
+    target identities: the ``cl_numerator`` coefficient times the head
+    (1 - q^{-columns_1}).  The empty partition weighs exactly 0 because
+    1 - q^0 = 0."""
+    return (1 - q_power(-partition.num_parts)) * cl_numerator(partition, sign)[0]
 
 
 def cl_numerator(partition: Partition, sign: int) -> tuple[RationalFunction, int]:
     """The partition-dependent factor of the Cohen-Lenstra type measures,
     without the shared normalizing product: returns (coefficient, power)
-    where the measure's lambda-term is coefficient * u^power.
+    where the measure's lambda-term is coefficient * u^power, with
 
-    Differs from summand_weight by the absence of the (1 - q^{-columns_1})
-    factor; the empty partition gives (1, 0).
-    """
-    expo = weight_exponent(partition, sign)
-    coeff = q_power(-expo) / _multiplicity_pochhammer(partition)
-    return coeff, partition.size
+        coefficient = 1 / (q^{weight_exponent} * prod_i (1/q^2;1/q^2)_{floor(m_i/2)})
+
+    over the parts i present; the empty partition gives (1, 0)."""
+    pochhammers = reduce(
+        lambda acc, m: acc * pochhammer_inv_q2(m // 2),
+        partition.multiplicities.values(),
+        RationalFunction.one(),
+    )
+    return q_power(-weight_exponent(partition, sign)) / pochhammers, partition.size
 
 
 def kernel_weight(partition: Partition, sign: int) -> Cleared:

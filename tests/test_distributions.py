@@ -521,6 +521,17 @@ def test_support_weights_match_the_kernel_evaluation_at_drawn_points(fam, b, up,
     assert support_weights(fam, params, size) == _reference_weights(fam, q, u, size)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(list(Family)), _positive, _positive, _positive, _positive, st.integers(0, 8)
+)
+def test_support_weights_start_at_one_and_stay_positive(fam, b, up, c, down, max_size):
+    q, u = Fraction(b + up, b), Fraction(c, c + down)  # q > 1, 0 < u < 1
+    support, weights = support_weights(fam, MeasureParams(q, u, 0, _tail(q, u, 0)), max_size)
+    assert support[0] == Partition(()) and weights[0] == 1
+    assert all(w > 0 for w in weights)
+
+
 @pytest.mark.parametrize("fam", list(Family))
 @pytest.mark.parametrize("q", _WEIGHT_QS)
 @pytest.mark.parametrize("u", _WEIGHT_US)

@@ -6,6 +6,7 @@ focus is hand-frozen values and the report machinery, kept quick.
 
 import pytest
 
+from qident import cli
 from qident import identities as idn
 from qident.rational import q, q_power, rf_sum
 from qident.report import VerificationReport
@@ -128,3 +129,9 @@ def test_verify_all_aggregates_and_passes():
     assert all(r.passed for r in reports)
     with pytest.raises(ValueError):
         idn.verify_all(m_max=0)
+
+
+def test_closed_side_caches_cover_the_m_max_cap():
+    # verify all reads every m = 0..m_max of each closed side more than once
+    for side in (idn.rhs_anz1, idn.rhs_anz2, idn.rhs_anz3):
+        assert side.cache_parameters()["maxsize"] >= cli._MAXIMUM["m_max"] + 1, side

@@ -1,6 +1,7 @@
 """Pochhammer products, terminating 2phi1 identities, and series oracles."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,32 @@ def test_limit_transform_check_instances():
     assert limit_transform_check(1, Fraction(3, 2), Fraction(5), Fraction(7, 3)).passed
     # the instance driving the a2-sum rewrite at m = 3
     assert limit_transform_check(2, q_power(-2), q_power(-2), q_power(-10)).passed
+
+
+_rational = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+
+@st.composite
+def _vanishing_c(draw):
+    """(n, c, q) with q not 0, 1 or -1 and c = q^{-j} for some j < n, so
+    that (c;q)_n has the factor 1 - c q^j = 0 and (q;q)_n has none."""
+    base = draw(_rational.filter(lambda v: v not in (0, 1, -1)))
+    n = draw(st.integers(1, 6))
+    return n, base ** -draw(st.integers(0, n - 1)), base
+
+
+@settings(max_examples=100, deadline=None)
+@given(_vanishing_c(), _rational, _rational)
+def test_a_vanishing_c_is_skipped_by_the_left_sum(drawn, b, z):
+    # each left side divides by every factor of (c;q)_n, so its sum names the zero
+    n, c, base = drawn
+    for report in (
+        transform_check(HypergeometricSpec(n, b, c, base, z)),
+        limit_transform_check(n, c, base, z),
+    ):
+        (result,) = report.results
+        assert report.n_skipped == 1
+        assert re.match(r"^\(.+; .+\)_\d+ vanishes$", result.reason), result.reason
 
 
 def test_qbinomial_coefficient_examples():
