@@ -53,7 +53,7 @@ _MAXIMUM = {
     "order": 128,
     "k_max": 64,
     "m_max": 128,
-    "qseries_n_max": 96,
+    "qseries_n_max": 112,
     "tuples_per_n": 10_000,
 }
 

@@ -26,15 +26,21 @@ Representation: the engine -- ``pochhammer``, ``terminating_sum``, the
 operations and truthiness only.  ``as_element`` is the one coercion rule at
 its boundary: a ``cleared.Cleared`` (the integer kernel), a
 RationalFunction or a Fraction stays as it is, an int becomes a Fraction,
-and anything else goes into Q(q).  ``pochhammer`` and ``terminating_sum``
-each run one loop on unreduced (numerator, denominator) pairs and divide
-once at the end.  When every argument is rational (an int or a Fraction)
-the pairs are ints and the end is one Fraction, so each call takes one gcd
-instead of one per field operation; otherwise each argument enters as the
-pair (element, 1) and the end is one field division, which on the kernel
-is a division by a unit.  So the randomized 2phi1 sweeps, which draw
-rational parameters, sum on integer pairs, and the identity chain and the
-distribution series compute on the kernel.
+and anything else goes into Q(q).  One pair engine, ``_pochhammer`` and
+``_sum``, runs on unreduced (numerator, denominator) pairs (``_pairs``):
+``pochhammer``, ``terminating_sum``, ``two_phi_one`` and
+``limit_two_phi_one`` turn their arguments into pairs on entry and divide
+once, by ``_quotient``, on exit, and the three checks compose z, the
+prefactor and the transformed parameters by cross-multiplying pairs, so
+that each side of a comparison ends in one ``_quotient``.  When every
+argument is rational (an int or a Fraction) the pairs are ints, the end is
+one Fraction, and ``_sum`` divides each term ratio by the gcd of its
+numerator and denominator before folding it in, so no reduced Fraction is
+built in between; otherwise each argument enters as the pair (element, 1)
+and the end is one field division, which on the kernel is a division by a
+unit.  So the randomized 2phi1 sweeps, which draw rational parameters, run
+on integer pairs, and the identity chain and the distribution series
+compute on the kernel.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .cleared import Cleared, csum
 from .rational import RationalFunction, q_power
@@ -84,15 +91,19 @@ def _quotient(num, den) -> Element:
     return Fraction(num, den) if isinstance(num, int) else num / den
 
 
-def pochhammer(a, ratio, n: int) -> Element:
-    """(a; ratio)_n, exactly, in the field of a; n = 0 gives that field's 1.
-    The factors 1 - a ratio^j are multiplied as unreduced (numerator,
-    denominator) pairs (``_pairs``), with ratio^j = p_n / p_d, and divided
-    once, at the end: one Fraction on rational arguments, else one field
-    division."""
-    if n < 0:
-        raise ValueError("Pochhammer length must be nonnegative")
-    (a_n, a_d), (r_n, r_d) = _pairs((a, ratio))
+def _power(pair, e: int) -> tuple:
+    """The pair of (num / den)^e, for an int e of either sign."""
+    num, den = pair if e >= 0 else pair[::-1]
+    return num ** abs(e), den ** abs(e)
+
+
+def _pochhammer(a, ratio, n: int) -> tuple:
+    """(a; ratio)_n on pairs (``_pairs``), as an unreduced pair: with
+    ratio^j = p_n / p_d, each factor 1 - a ratio^j is
+    (a_d p_d - a_n p_n) / (a_d p_d).  Unlike ``_sum``'s term ratios, the
+    factors are not divided by their gcd: that made both the 2phi1 sweeps
+    and ``distributions.truncated_prefactor`` slower."""
+    (a_n, a_d), (r_n, r_d) = a, ratio
     num = p_n = a_n ** 0
     den = p_d = 1
     for _ in range(n):
@@ -100,7 +111,17 @@ def pochhammer(a, ratio, n: int) -> Element:
         den *= a_d * p_d
         p_n *= r_n
         p_d *= r_d
-    return _quotient(num, den)
+    return num, den
+
+
+def pochhammer(a, ratio, n: int) -> Element:
+    """(a; ratio)_n, exactly, in the field of a; n = 0 gives that field's 1.
+    The factors 1 - a ratio^j are multiplied as unreduced (numerator,
+    denominator) pairs (``_pochhammer``) and divided once, at the end: one
+    Fraction on rational arguments, else one field division."""
+    if n < 0:
+        raise ValueError("Pochhammer length must be nonnegative")
+    return _quotient(*_pochhammer(*_pairs((a, ratio)), n))
 
 
 #: lru_cache size of ``pochhammer_inv_q2``: n = 0..127 stay cached.
@@ -137,6 +158,48 @@ class HypergeometricSpec:
             object.__setattr__(self, name, as_element(getattr(self, name)))
 
 
+def _sum(upper, lower, base, z, n: int, twist: int = 0) -> tuple:
+    """``terminating_sum`` on pairs (``_pairs``), as an unreduced pair
+    (total, den)."""
+    if n < 0:
+        raise ValueError(f"sum length must be nonnegative, got n={n}")
+    (q_n, q_d), (z_n, z_d) = base, z
+    if n > 0 and not q_n:
+        raise DegenerateParameters("series base is zero")
+    bottoms = [base, *lower]
+    cancel = isinstance(q_n, int)
+    term = total = p_n = q_n ** 0
+    den = p_d = 1
+    for k in range(1, n + 1):
+        r_n, r_d = z_n, z_d
+        for b_n, b_d in bottoms:
+            factor = b_d * p_d - b_n * p_n
+            if not factor:
+                b, p = _quotient(b_n, b_d), _quotient(q_n, q_d)
+                raise DegenerateParameters(f"({b}; {p})_{k} vanishes")
+            r_n *= b_d * p_d
+            r_d *= factor
+        for a_n, a_d in upper:
+            r_n *= a_d * p_d - a_n * p_n
+            r_d *= a_d * p_d
+        if twist > 0:
+            r_n *= (-p_n) ** twist
+            r_d *= p_d ** twist
+        elif twist < 0:
+            r_n *= p_d ** -twist
+            r_d *= (-p_n) ** -twist
+        if cancel:
+            g = gcd(r_n, r_d)
+            r_n //= g
+            r_d //= g
+        term *= r_n
+        den *= r_d
+        total = total * r_d + term
+        p_n *= q_n
+        p_d *= q_d
+    return total, den
+
+
 def terminating_sum(upper, lower, base, z, n: int, twist: int = 0) -> Element:
     """The terminating basic hypergeometric sum
 
@@ -155,49 +218,15 @@ def terminating_sum(upper, lower, base, z, n: int, twist: int = 0) -> Element:
     1 - b p^{k-1} is (b_d p_d - b_n p_n) / (b_d p_d).  Term k is term / den
     and the sum through k is total / den, so a ratio r_n / r_d updates them
     as term *= r_n, den *= r_d, total = total * r_d + term, and the sum
-    ends in one division.  A negative n raises ValueError, as in
-    ``pochhammer``; a zero base with n > 0, or a denominator factor that
-    vanishes at some k <= n, raises DegenerateParameters.
+    ends in one division.  On integer pairs each ratio is first divided by
+    gcd(r_n, r_d), which cancels the powers of p_d it shares between its
+    numerator and denominator; on (element, 1) pairs the ratio is folded in
+    as it is.  A negative n raises ValueError, as in ``pochhammer``; a zero
+    base with n > 0, or a denominator factor that vanishes at some k <= n,
+    raises DegenerateParameters.
     """
-    if n < 0:
-        raise ValueError(f"sum length must be nonnegative, got n={n}")
-    if n > 0 and not base:
-        raise DegenerateParameters("series base is zero")
-    (q_n, q_d), (z_n, z_d), *rest = _pairs((base, z, *upper, *lower))
-    tops, bottoms = rest[:len(upper)], [(q_n, q_d), *rest[len(upper):]]
-    term = total = p_n = q_n ** 0
-    den = p_d = 1
-    for k in range(1, n + 1):
-        r_n, r_d = z_n, z_d
-        for b_n, b_d in bottoms:
-            factor = b_d * p_d - b_n * p_n
-            if not factor:
-                # an equal pair earlier in bottoms would have vanished first
-                b = (base, *lower)[bottoms.index((b_n, b_d))]
-                raise DegenerateParameters(f"({b}; {base})_{k} vanishes")
-            r_n *= b_d * p_d
-            r_d *= factor
-        for a_n, a_d in tops:
-            r_n *= a_d * p_d - a_n * p_n
-            r_d *= a_d * p_d
-        if twist > 0:
-            r_n *= (-p_n) ** twist
-            r_d *= p_d ** twist
-        elif twist < 0:
-            r_n *= p_d ** -twist
-            r_d *= (-p_n) ** -twist
-        term *= r_n
-        den *= r_d
-        total = total * r_d + term
-        p_n *= q_n
-        p_d *= q_d
-    return _quotient(total, den)
-
-
-def _terminator(base, n: int):
-    """base^{-n}, the upper parameter that ends a sum at k = n; 1 when n = 0
-    or the base is zero (terminating_sum refuses a zero base for n > 0)."""
-    return base ** -n if n and base else 1
+    base, z, *rest = _pairs((base, z, *upper, *lower))
+    return _quotient(*_sum(rest[:len(upper)], rest[len(upper):], base, z, n, twist))
 
 
 def _one_comparison(name: str, params: dict, sides) -> VerificationReport:
@@ -215,25 +244,30 @@ def _one_comparison(name: str, params: dict, sides) -> VerificationReport:
 
 def two_phi_one(spec: HypergeometricSpec) -> Element:
     """sum_{k=0}^{n} (q^{-n};q)_k (b;q)_k / ((q;q)_k (c;q)_k) z^k."""
-    upper = (_terminator(spec.q, spec.n), spec.b)
-    return terminating_sum(upper, (spec.c,), spec.q, spec.z, spec.n)
+    base, z, b, c = _pairs((spec.q, spec.z, spec.b, spec.c))
+    return _quotient(*_sum((_power(base, -spec.n), b), (c,), base, z, spec.n))
 
 
 def qchu_check(n: int, b, c, qbase) -> VerificationReport:
     """Evaluation of the terminating 2phi1 at argument z = c q^n / b:
     both sides of 2phi1(q^{-n}, b; c; q, c q^n / b) = (c/b;q)_n / (c;q)_n.
+    Both sides and z are composed on pairs (``_pairs``), each ending in one
+    ``_quotient``.
     """
     b, c, qbase = as_element(b), as_element(c), as_element(qbase)
 
     def sides():
         if not b:
             raise DegenerateParameters("b = 0")
-        denom = pochhammer(c, qbase, n)
-        if not denom:
+        (b_n, b_d), (c_n, c_d), base = _pairs((b, c, qbase))
+        d_n, d_d = _pochhammer((c_n, c_d), base, n)
+        if not d_n:
             raise DegenerateParameters(f"(c;q)_{n} vanishes")
-        z = c * qbase ** n / b
+        t_n, t_d = _power(base, n)
+        z = _quotient(c_n * t_n * b_d, c_d * t_d * b_n)
         lhs = two_phi_one(HypergeometricSpec(n, b, c, qbase, z))
-        return lhs, pochhammer(c / b, qbase, n) / denom
+        p_n, p_d = _pochhammer((c_n * b_d, c_d * b_n), base, n)
+        return lhs, _quotient(p_n * d_d, p_d * d_n)
 
     params = {"n": n, "b": str(b), "c": str(c), "q": str(qbase)}
     return _one_comparison("qchu", params, sides)
@@ -242,21 +276,27 @@ def qchu_check(n: int, b, c, qbase) -> VerificationReport:
 def transform_check(spec: HypergeometricSpec) -> VerificationReport:
     """Transformation of the terminating 2phi1: compares the direct sum
     against (c/b;q)_n/(c;q)_n times the transformed sum in powers of q.
+    The right side is composed on pairs (``_pairs``) and ends in one
+    ``_quotient``.
     """
-    n, b, c, base = spec.n, spec.b, spec.c, spec.q
+    n, b, c = spec.n, spec.b, spec.c
 
     def sides():
         lhs = two_phi_one(spec)
         if not b or not c:
             raise DegenerateParameters("b or c is zero")
+        (b_n, b_d), (c_n, c_d), base, (z_n, z_d) = _pairs((b, c, spec.q, spec.z))
+        a_n, a_d = _power(base, -n)
+        l_n, l_d = _power(base, 1 - n)
+        upper = ((a_n, a_d), (b_n, b_d), (b_n * z_n * a_n * c_d, b_d * z_d * a_d * c_n))
+        lower = ((b_n * l_n * c_d, b_d * l_d * c_n),)
+        s_n, s_d = _sum(upper, lower, base, base, n)
+        p_n, p_d = _pochhammer((c_n * b_d, c_d * b_n), base, n)
         # lhs raised if a factor of (c;q)_n vanished: it divides by each
-        prefactor = pochhammer(c / b, base, n) / pochhammer(c, base, n)
-        a = _terminator(base, n)
-        upper = (a, b, b * spec.z * a / c)
-        lower = (b * base ** (1 - n) / c,)
-        return lhs, prefactor * terminating_sum(upper, lower, base, base, n)
+        d_n, d_d = _pochhammer((c_n, c_d), base, n)
+        return lhs, _quotient(p_n * d_d * s_n, p_d * d_n * s_d)
 
-    params = {"n": n, "b": str(b), "c": str(c), "q": str(base), "z": str(spec.z)}
+    params = {"n": n, "b": str(b), "c": str(c), "q": str(spec.q), "z": str(spec.z)}
     return _one_comparison("transform", params, sides)
 
 
@@ -266,8 +306,8 @@ def limit_two_phi_one(n: int, c, qbase, z) -> Element:
         sum_{k=0}^{n} (q^{-n};q)_k (-1)^k q^{binom(k,2)} z^k
                       / ((q;q)_k (c;q)_k).
     """
-    c, qbase, z = as_element(c), as_element(qbase), as_element(z)
-    return terminating_sum((_terminator(qbase, n),), (c,), qbase, z, n, twist=1)
+    base, c, z = _pairs((qbase, c, z))
+    return _quotient(*_sum((_power(base, -n),), (c,), base, z, n, twist=1))
 
 
 def limit_transform_check(n: int, c, qbase, z) -> VerificationReport:
@@ -275,7 +315,10 @@ def limit_transform_check(n: int, c, qbase, z) -> VerificationReport:
 
         limit_two_phi_one(n, c, q, z)
             = 1/(c;q)_n * sum_k (q^{-n};q)_k (z q^{-n}/c;q)_k / (q;q)_k
-                                * (c q^n)^k.
+                                * (c q^n)^k,
+
+    the right side composed on pairs (``_pairs``) and ending in one
+    ``_quotient``.
     """
     c, qbase, z = as_element(c), as_element(qbase), as_element(z)
 
@@ -283,10 +326,12 @@ def limit_transform_check(n: int, c, qbase, z) -> VerificationReport:
         lhs = limit_two_phi_one(n, c, qbase, z)
         if not c:
             raise DegenerateParameters("c = 0")
-        a = _terminator(qbase, n)
-        upper = (a, z * a / c)
-        rhs = terminating_sum(upper, (), qbase, c * qbase ** n, n)
-        return lhs, rhs / pochhammer(c, qbase, n)  # nonzero, as in transform_check
+        (c_n, c_d), base, (z_n, z_d) = _pairs((c, qbase, z))
+        t_n, t_d = _power(base, n)  # q^n; q^{-n} is (t_d, t_n)
+        upper = ((t_d, t_n), (z_n * t_d * c_d, z_d * t_n * c_n))
+        s_n, s_d = _sum(upper, (), base, (c_n * t_n, c_d * t_d), n)
+        d_n, d_d = _pochhammer((c_n, c_d), base, n)  # nonzero, as in transform_check
+        return lhs, _quotient(s_n * d_d, s_d * d_n)
 
     params = {"n": n, "c": str(c), "q": str(qbase), "z": str(z)}
     return _one_comparison("limit-transform", params, sides)
@@ -458,10 +503,18 @@ def reciprocal_pochhammer_series(
 # Randomized parameter sweeps over the three 2phi1 identities
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
+def _fraction_table() -> tuple:
+    """Fraction(num, den) for num in -12..12 (rows) and den in 1..12."""
+    return tuple(tuple(Fraction(num, den) for den in range(1, 13)) for num in range(-12, 13))
+
+
 def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
-    """A rational with numerator and denominator bounded by 12."""
+    """A rational with numerator and denominator bounded by 12.  Choosing a
+    row, then an entry, of ``_fraction_table`` draws the same numbers as
+    ``Fraction(rng.randint(-12, 12), rng.randint(1, 12))``."""
     while True:
-        value = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+        value = rng.choice(rng.choice(_fraction_table()))
         if value or not nonzero:
             return value
 

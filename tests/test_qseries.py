@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import cleared, distributions
+from qident import cleared, distributions, qseries
 from qident.cleared import Cleared
 from qident.qseries import (
     DegenerateParameters,
@@ -22,6 +22,7 @@ from qident.qseries import (
     pochhammer_series,
     qbinomial_coefficient,
     qchu_check,
+    random_fraction,
     random_hypergeometric_reports,
     reciprocal_pochhammer_series,
     terminating_sum,
@@ -29,6 +30,7 @@ from qident.qseries import (
     two_phi_one,
 )
 from qident.rational import RationalFunction, as_rational, q, q_power
+from qident.report import VerificationReport
 
 
 def test_pochhammer_basics():
@@ -585,6 +587,196 @@ def test_checks_agree_on_fractions_and_constant_rational_functions(n, b, c, base
     assert _outcome(limit_transform_check, n, c, base, z) == _outcome(
         limit_transform_check, n, *constant[1:]
     )
+
+
+# --- the checks compose pairs: a stepwise Fraction reference ----------------
+
+def _reference_terminator(base, n):
+    return base ** -n if n and base else Fraction(1)
+
+
+def _reference_report(name, params, sides):
+    report = VerificationReport(name, params=params)
+    try:
+        lhs, rhs = sides()
+    except DegenerateParameters as exc:
+        report.record_skip(dict(params), str(exc))
+    else:
+        report.record(dict(params), lhs, rhs)
+    return report
+
+
+def reference_qchu_check(n, b, c, base):
+    """``qchu_check`` composed of reduced Fractions around the stepwise sums."""
+
+    def sides():
+        if not b:
+            raise DegenerateParameters("b = 0")
+        denom = stepwise_pochhammer(c, base, n)
+        if not denom:
+            raise DegenerateParameters(f"(c;q)_{n} vanishes")
+        z = c * base**n / b
+        upper = (_reference_terminator(base, n), b)
+        lhs = stepwise_terminating_sum(upper, (c,), base, z, n, 0)
+        return lhs, stepwise_pochhammer(c / b, base, n) / denom
+
+    params = {"n": n, "b": str(b), "c": str(c), "q": str(base)}
+    return _reference_report("qchu", params, sides)
+
+
+def reference_transform_check(n, b, c, base, z):
+    def sides():
+        a = _reference_terminator(base, n)
+        lhs = stepwise_terminating_sum((a, b), (c,), base, z, n, 0)
+        if not b or not c:
+            raise DegenerateParameters("b or c is zero")
+        prefactor = stepwise_pochhammer(c / b, base, n) / stepwise_pochhammer(c, base, n)
+        upper = (a, b, b * z * a / c)
+        lower = (b * base ** (1 - n) / c,)
+        return lhs, prefactor * stepwise_terminating_sum(upper, lower, base, base, n, 0)
+
+    params = {"n": n, "b": str(b), "c": str(c), "q": str(base), "z": str(z)}
+    return _reference_report("transform", params, sides)
+
+
+def reference_limit_transform_check(n, c, base, z):
+    def sides():
+        a = _reference_terminator(base, n)
+        lhs = stepwise_terminating_sum((a,), (c,), base, z, n, 1)
+        if not c:
+            raise DegenerateParameters("c = 0")
+        rhs = stepwise_terminating_sum((a, z * a / c), (), base, c * base**n, n, 0)
+        return lhs, rhs / stepwise_pochhammer(c, base, n)
+
+    params = {"n": n, "c": str(c), "q": str(base), "z": str(z)}
+    return _reference_report("limit-transform", params, sides)
+
+
+def _compared(report):
+    """Everything a report holds: its JSON form and, per comparison, the
+    status, the compared values with their types, and the skip reason."""
+    return report.to_json_dict(), [
+        (r.status, type(r.lhs_value), r.lhs_value, type(r.rhs_value), r.rhs_value, r.reason)
+        for r in report.results
+    ]
+
+
+@st.composite
+def _check_parameters(draw):
+    """(n, b, c, q, z) of height at most 12 and n <= 10, with b = 0, c = 0
+    and c = q^{-j}, j < n, among the draws."""
+    n = draw(st.integers(0, 10))
+    base, z = draw(_rational), draw(_rational)
+    b = draw(st.just(Fraction(0)) | _rational)
+    kind = draw(st.sampled_from(("drawn", "zero", "vanishing")))
+    if kind == "zero":
+        c = Fraction(0)
+    elif kind == "vanishing" and n and base:
+        c = base ** -draw(st.integers(0, n - 1))
+    else:
+        c = draw(_rational)
+    return n, b, c, base, z
+
+
+@settings(max_examples=300, deadline=None)
+@given(_check_parameters())
+def test_qchu_check_matches_a_stepwise_fraction_composition(drawn):
+    n, b, c, base, _ = drawn
+    got = _compared(qchu_check(n, b, c, base))
+    assert got == _compared(reference_qchu_check(n, b, c, base))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_check_parameters())
+def test_transform_check_matches_a_stepwise_fraction_composition(drawn):
+    got = _compared(transform_check(HypergeometricSpec(*drawn)))
+    assert got == _compared(reference_transform_check(*drawn))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_check_parameters())
+def test_limit_transform_check_matches_a_stepwise_fraction_composition(drawn):
+    n, _, c, base, z = drawn
+    got = _compared(limit_transform_check(n, c, base, z))
+    assert got == _compared(reference_limit_transform_check(n, c, base, z))
+
+
+# --- each term ratio is cancelled on integer pairs --------------------------
+
+def unreduced_sum(tops, bottoms, base, z, n, twist):
+    """The pair engine's loop on integer pairs with no ratio cancelled."""
+    (q_n, q_d), (z_n, z_d) = base, z
+    term = total = p_n = den = p_d = 1
+    for _ in range(n):
+        r_n, r_d = z_n, z_d
+        for b_n, b_d in (base, *bottoms):
+            r_n *= b_d * p_d
+            r_d *= b_d * p_d - b_n * p_n
+        for a_n, a_d in tops:
+            r_n *= a_d * p_d - a_n * p_n
+            r_d *= a_d * p_d
+        if twist > 0:
+            r_n *= (-p_n) ** twist
+            r_d *= p_d ** twist
+        elif twist < 0:
+            r_n *= p_d ** -twist
+            r_d *= (-p_n) ** -twist
+        term *= r_n
+        den *= r_d
+        total = total * r_d + term
+        p_n *= q_n
+        p_d *= q_d
+    return total, den
+
+
+_long_sum = {
+    "upper": st.lists(_rational, max_size=3),
+    "lower": st.lists(_rational, max_size=2),
+    "base": _rational,
+    "z": _rational,
+    "n": st.integers(0, 24),
+    "twist": st.integers(-1, 1),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_long_sum)
+def test_reduced_route_matches_a_stepwise_fraction_sum_to_n_24(
+    upper, lower, base, z, n, twist
+):
+    args = (upper, lower, base, z, n, twist)
+    got = _outcome_or_message(terminating_sum, *args)
+    assert got == _outcome_or_message(stepwise_terminating_sum, *args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_long_sum)
+def test_reduced_pairs_never_outgrow_the_unreduced_ones(upper, lower, base, z, n, twist):
+    base_pair, z_pair, *rest = qseries._pairs((base, z, *upper, *lower))
+    tops, bottoms = rest[: len(upper)], rest[len(upper) :]
+    try:
+        total, den = qseries._sum(tops, bottoms, base_pair, z_pair, n, twist)
+    except DegenerateParameters:
+        return
+    full_total, full_den = unreduced_sum(tops, bottoms, base_pair, z_pair, n, twist)
+    assert Fraction(total, den) == Fraction(full_total, full_den)
+    assert abs(total).bit_length() <= abs(full_total).bit_length()
+    assert abs(den).bit_length() <= abs(full_den).bit_length()
+
+
+# --- the seeded draws ---------------------------------------------------------
+
+def test_random_fraction_draws_the_randint_stream():
+    for seed in range(50):
+        for nonzero in (False, True):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for _ in range(200):
+                while True:
+                    expected = Fraction(reference.randint(-12, 12), reference.randint(1, 12))
+                    if expected or not nonzero:
+                        break
+                got = random_fraction(rng, nonzero=nonzero)
+                assert type(got) is Fraction and got == expected, (seed, nonzero)
 
 
 # --- in-place division and one-csum products -------------------------------
